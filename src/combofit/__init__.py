@@ -14,7 +14,7 @@ from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import (CombofitError, FitConvergenceError, InitializationError,
                      NumericError, ValidationError)
 from .mcmc import (BLOCK_NAMES, AdaptiveState, ChainConfig, PosteriorChain,
-                   chain_from_states, run_chain, run_chains,
+                   chain_from_draws, run_chain, run_chains,
                    variance_posterior_params)
 from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior,
                     ParameterState, PriorSpec, initial_state, interaction_surface,
@@ -36,7 +36,7 @@ __all__ = [
     "NumericError", "ParameterState", "PlateDataset", "PosteriorChain",
     "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport", "SurfaceGrid",
     "ValidationError", "ZipFit", "baseline_delta", "baseline_surface",
-    "basis_matrix", "bi_ec50", "bliss_surface", "chain_from_states",
+    "basis_matrix", "bi_ec50", "bliss_surface", "chain_from_draws",
     "combination_columns", "dss",
     "fine_mean_surface", "fit_2ll", "fit_monotherapies", "hsa_surface",
     "initial_state", "interaction_field", "interaction_surface", "link_g",

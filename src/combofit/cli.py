@@ -3,24 +3,29 @@
 Exit codes: 0 success, 1 input/validation error, 2 numerical failure. Output
 files land in --outdir, the COMBOFIT_OUTDIR environment variable, or the
 working directory, in that order of precedence; config-file values sit between
-built-in defaults and explicit flags. Partial outputs are removed on failure.
+built-in defaults and explicit flags. Outputs are written under temporary names
+and renamed into place only once all of them are written, so a failed run
+leaves the files of an earlier run untouched.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import io as cio
 from .baselines import BASELINE_METHODS, baseline_delta
 from .data import LogConcGrid, SurfaceGrid
 from .errors import CombofitError, ValidationError
-from .mcmc import ChainConfig, chain_from_states, run_chains
+from .mcmc import ChainConfig, chain_from_draws, run_chains
 from .model import GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec
 from .simulate import SimScenario, sample_plate
 from .splines import SplineSpec
-from .summaries import mse_surface, summarize_chains
+from .summaries import ACCEPTANCE_RANGE, mse_surface, summarize_chains
 
 OUTDIR_ENV = "COMBOFIT_OUTDIR"
 
@@ -137,23 +142,34 @@ def _merge_options(args, defaults: dict) -> dict:
 
 
 class _OutputSet:
-    """Tracks written files so a failed run leaves no partial output."""
+    """Context that stages output files under temporary names in the output
+    directory and renames them all into place only when its block succeeds.
+
+    On failure it removes only the staged files, so an earlier run's outputs
+    stay as they were.
+    """
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
-        self.written = []
+        self.staged = []
 
     def path(self, name: str) -> Path:
-        path = self.outdir / name
-        self.written.append(path)
-        return path
+        temp = self.outdir / f".{name}.{os.getpid()}.tmp"
+        self.staged.append((temp, self.outdir / name))
+        return temp
 
-    def discard(self):
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                for temp, final in self.staged:
+                    os.replace(temp, final)
+        finally:
+            for temp, _ in self.staged:
+                with contextlib.suppress(OSError):
+                    temp.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +253,6 @@ def _surface_from_values(values, grid: LogConcGrid, label: str) -> SurfaceGrid:
 
 
 def _check_truth_axes(truth: dict, grid: LogConcGrid):
-    import numpy as np
-
     delta = truth["delta"]
     if (delta.axis1.size != grid.logc1.size or delta.axis2.size != grid.logc2.size
             or not np.allclose(delta.axis1, grid.logc1)
@@ -246,24 +260,39 @@ def _check_truth_axes(truth: dict, grid: LogConcGrid):
         raise ValidationError("truth grid does not match the plate grid")
 
 
-def _cmd_fit(args) -> int:
-    options = _merge_options(args, FIT_DEFAULTS)
-    run_cfg = RunConfig(**options)
+def _setup(args):
+    """Resolved options, plate, grid and spline layout of fit and summarize."""
+    run_cfg = RunConfig(**_merge_options(args, FIT_DEFAULTS))
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
     spline = SplineSpec.for_grid(grid, k1=run_cfg.k1, k2=run_cfg.k2,
                                  degree=run_cfg.degree, penalty_ridge=run_cfg.ridge)
+    return run_cfg, data, grid, spline
+
+
+def _summarize(chains, run_cfg: RunConfig):
+    return summarize_chains(chains, dss_threshold=run_cfg.dss_threshold,
+                            bi_ec50_tolerance=run_cfg.bi_ec50_tolerance,
+                            fine_points=run_cfg.fine_points,
+                            swap_interaction_labels=run_cfg.swap_interaction_labels)
+
+
+def _cmd_fit(args) -> int:
+    run_cfg, data, grid, spline = _setup(args)
+    truth = None
+    if args.truth:
+        truth = cio.read_truth_csv(args.truth)
+        _check_truth_axes(truth, grid)
     chains = run_chains(data, run_cfg.chains, priors=run_cfg.prior_spec(),
                         spline=spline, config=run_cfg.chain_config(),
                         linear_scale=run_cfg.linear_scale)
-    report = summarize_chains(
-        chains, dss_threshold=run_cfg.dss_threshold,
-        bi_ec50_tolerance=run_cfg.bi_ec50_tolerance,
-        fine_points=run_cfg.fine_points,
-        swap_interaction_labels=run_cfg.swap_interaction_labels)
+    report = _summarize(chains, run_cfg)
+    lo, hi = ACCEPTANCE_RANGE
+    for warning in report.warnings:
+        print(f"warning: chain {warning['chain']} block {warning['block']} acceptance "
+              f"{warning['acceptance']:.3f} outside [{lo}, {hi}]", file=sys.stderr)
 
-    out = _OutputSet(_resolve_outdir(args.outdir))
-    try:
+    with _OutputSet(_resolve_outdir(args.outdir)) as out:
         cio.write_samples_csv(out.path("samples.csv"), chains)
         mean = report.posterior_mean
         cio.write_surface_csv(out.path("surface_p.csv"),
@@ -278,17 +307,12 @@ def _cmd_fit(args) -> int:
                    "n_chains": run_cfg.chains}
         payload.update(report.to_json_dict())
         cio.write_json(out.path("summary.json"), payload)
-        if args.truth:
-            truth = cio.read_truth_csv(args.truth)
-            _check_truth_axes(truth, grid)
+        if truth is not None:
             cio.write_json(out.path("mse.json"), {
                 "mse_delta": mse_surface(mean["delta"], truth["delta"].values),
                 "mse_p0": mse_surface(mean["p0"], truth["p0"].values),
                 "mse_p": mse_surface(mean["p"], truth["p"].values),
             })
-    except BaseException:
-        out.discard()
-        raise
     return 0
 
 
@@ -296,44 +320,27 @@ def _cmd_simulate(args) -> int:
     scenario = SimScenario(interaction_id=args.scenario, noise=args.noise,
                            n_rep=args.nrep, sigma_eps=args.sigma_eps, seed=args.seed)
     data, truths = sample_plate(scenario)
-    out = _OutputSet(_resolve_outdir(args.outdir))
-    try:
+    with _OutputSet(_resolve_outdir(args.outdir)) as out:
         cio.write_plate_csv(out.path("plate.csv"), data)
         cio.write_truth_csv(out.path("truth.csv"), truths)
-    except BaseException:
-        out.discard()
-        raise
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    options = _merge_options(args, FIT_DEFAULTS)
-    run_cfg = RunConfig(**options)
-    data = cio.ingest_plate(args.input)
-    grid = LogConcGrid.from_dataset(data)
-    spline = SplineSpec.for_grid(grid, k1=run_cfg.k1, k2=run_cfg.k2,
-                                 degree=run_cfg.degree, penalty_ridge=run_cfg.ridge)
+    run_cfg, data, grid, spline = _setup(args)
     samples = cio.read_samples_csv(args.samples)
-    by_chain = {}
-    for chain_index, state in samples:
-        by_chain.setdefault(chain_index, []).append(state)
-    chains = [chain_from_states(data, states, spline=spline,
-                                linear_scale=run_cfg.linear_scale,
-                                chain_index=chain_index)
-              for chain_index, states in sorted(by_chain.items())]
-    report = summarize_chains(
-        chains, dss_threshold=run_cfg.dss_threshold,
-        bi_ec50_tolerance=run_cfg.bi_ec50_tolerance,
-        fine_points=run_cfg.fine_points,
-        swap_interaction_labels=run_cfg.swap_interaction_labels)
-    out = _OutputSet(_resolve_outdir(args.outdir))
-    try:
+    if samples.coeff_shape != (spline.k1, spline.k2):
+        raise ValidationError(
+            f"samples hold a {samples.coeff_shape[0]} x {samples.coeff_shape[1]} coefficient "
+            f"matrix; --k1 {spline.k1} --k2 {spline.k2} expects {spline.k1} x {spline.k2}")
+    chains = [chain_from_draws(data, samples.draws[samples.chain == index], spline=spline,
+                               linear_scale=run_cfg.linear_scale, chain_index=int(index))
+              for index in np.unique(samples.chain)]
+    report = _summarize(chains, run_cfg)
+    with _OutputSet(_resolve_outdir(args.outdir)) as out:
         payload = {"input": str(args.input), "samples": str(args.samples)}
         payload.update(report.to_json_dict())
         cio.write_json(out.path("summary.json"), payload)
-    except BaseException:
-        out.discard()
-        raise
     return 0
 
 
@@ -345,8 +352,7 @@ def _cmd_baseline(args) -> int:
     if args.truth:
         truth = cio.read_truth_csv(args.truth)
         _check_truth_axes(truth, grid)
-    out = _OutputSet(_resolve_outdir(args.outdir))
-    try:
+    with _OutputSet(_resolve_outdir(args.outdir)) as out:
         summary = {}
         for method in methods:
             delta_hat, surface, info = baseline_delta(data, method, grid)
@@ -366,9 +372,6 @@ def _cmd_baseline(args) -> int:
                 entry["mse_delta"] = mse_surface(delta_hat.values, truth["delta"].values)
             summary[method] = entry
         cio.write_json(out.path("baseline_summary.json"), summary)
-    except BaseException:
-        out.discard()
-        raise
     return 0
 
 

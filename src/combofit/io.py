@@ -8,23 +8,17 @@ produce byte-identical output.
 import csv
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import LogConcGrid, PlateDataset, SurfaceGrid
+from .data import PlateDataset, SurfaceGrid
 from .errors import ValidationError
-from .model import PHI_NAMES, ParameterState
+from .model import COLUMN, DRAW_SCALARS, POSITIVE_SCALARS
 
 PLATE_HEADER = ["drug1_conc", "drug2_conc", "replicate", "viability"]
 TRUTH_HEADER = ["log10_drug1_conc", "log10_drug2_conc", "p0", "delta", "p"]
 _SURFACE_CORNER = "log10_conc1\\log10_conc2"
-
-_SCALAR_COLUMNS = [
-    "m1", "m2", "lambda1", "lambda2", "b1", "b2",
-    "gamma0", "gamma1", "gamma2",
-    "sigma2_m1", "sigma2_m2", "sigma2_gamma0", "sigma2_gamma1", "sigma2_gamma2",
-    "sigma2_eps",
-]
 
 
 def _fmt(value) -> str:
@@ -206,7 +200,15 @@ def read_truth_csv(path) -> dict:
 
 def samples_header(k1: int, k2: int):
     coeff = [f"C_{i}_{j}" for i in range(k1) for j in range(k2)]
-    return ["chain", "sample"] + _SCALAR_COLUMNS + coeff
+    return ["chain", "sample", *DRAW_SCALARS] + coeff
+
+
+class Samples(NamedTuple):
+    """Contents of a samples CSV: per-row chain index and the draws array."""
+
+    chain: np.ndarray        # (n,) int
+    draws: np.ndarray        # (n, 15 + k1 * k2), model.DRAW_SCALARS then C
+    coeff_shape: tuple       # (k1, k2) from the coefficient column names
 
 
 def write_samples_csv(path, chains):
@@ -218,60 +220,71 @@ def write_samples_csv(path, chains):
         writer = csv.writer(fh)
         writer.writerow(samples_header(k1, k2))
         for chain in chains:
-            for idx, state in enumerate(chain.states):
-                row = [chain.chain_index, idx]
-                row += [_fmt(getattr(state, name)) for name in
-                        ("m1", "m2", "lambda1", "lambda2", "b1", "b2",
-                         "gamma0", "gamma1", "gamma2")]
-                row += [_fmt(state.sigma2_phi[name]) for name in PHI_NAMES]
-                row.append(_fmt(state.sigma2_eps))
-                row += [_fmt(v) for v in state.C.ravel()]
-                writer.writerow(row)
+            writer.writerows([chain.chain_index, idx, *map(repr, row)]
+                             for idx, row in enumerate(chain.draws.tolist()))
 
 
-def read_samples_csv(path):
-    """Read samples back as a list of (chain_index, ParameterState)."""
-    rows = _open_rows(path)
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [cell.strip().lstrip("﻿") for cell in rows[0]]
-    coeff_cols = [name for name in header if name.startswith("C_")]
+def read_samples_csv(path) -> Samples:
+    """Read samples back, one row at a time, into a preallocated draws array.
+
+    Every value must be finite, and the variances, lambda1, lambda2, b1 and
+    b2 positive.
+    """
     try:
-        indices = [tuple(int(part) for part in name[2:].split("_")) for name in coeff_cols]
-    except ValueError:
-        raise ValidationError(f"{path}: malformed coefficient column names") from None
-    if not indices:
-        raise ValidationError(f"{path}: no coefficient columns")
-    k1 = max(i for i, _ in indices) + 1
-    k2 = max(j for _, j in indices) + 1
-    if header != samples_header(k1, k2):
-        raise ValidationError(f"{path}: unexpected samples header")
-    out = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValidationError(f"{path} line {line_no}: ragged row")
-        try:
-            chain_index = int(row[0])
-        except ValueError:
-            raise ValidationError(f"{path} line {line_no}: bad chain index") from None
-        values = [_parse_float(cell, line_no, name)
-                  for name, cell in zip(header[2:], row[2:])]
-        scalars = dict(zip(_SCALAR_COLUMNS, values[:len(_SCALAR_COLUMNS)]))
-        coeffs = np.array(values[len(_SCALAR_COLUMNS):]).reshape(k1, k2)
-        state = ParameterState(
-            m1=scalars["m1"], m2=scalars["m2"],
-            lambda1=scalars["lambda1"], lambda2=scalars["lambda2"],
-            b1=scalars["b1"], b2=scalars["b2"],
-            gamma0=scalars["gamma0"], gamma1=scalars["gamma1"],
-            gamma2=scalars["gamma2"], C=coeffs,
-            sigma2_phi={name: scalars[f"sigma2_{name}"] for name in PHI_NAMES},
-            sigma2_eps=scalars["sigma2_eps"])
-        out.append((chain_index, state))
-    if not out:
+        with open(path, newline="", encoding="utf-8") as fh:
+            n_lines = sum(1 for _ in fh)
+            fh.seek(0)
+            reader = csv.reader(fh)
+            header = [cell.strip().lstrip("\ufeff") for cell in next(reader, [])]
+            if not header:
+                raise ValidationError(f"{path}: empty file")
+            coeff_cols = [name for name in header if name.startswith("C_")]
+            try:
+                indices = [tuple(int(part) for part in name[2:].split("_"))
+                           for name in coeff_cols]
+            except ValueError:
+                raise ValidationError(f"{path}: malformed coefficient column names") from None
+            if not indices:
+                raise ValidationError(f"{path}: no coefficient columns")
+            k1 = max(i for i, _ in indices) + 1
+            k2 = max(j for _, j in indices) + 1
+            if header != samples_header(k1, k2):
+                raise ValidationError(f"{path}: unexpected samples header")
+            chain = np.empty(n_lines, dtype=np.int64)
+            lines = np.empty(n_lines, dtype=np.int64)
+            draws = np.empty((n_lines, len(header) - 2))
+            n = 0
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(f"{path} line {line_no}: ragged row")
+                try:
+                    chain[n] = int(row[0])
+                except ValueError:
+                    raise ValidationError(f"{path} line {line_no}: bad chain index") from None
+                try:
+                    draws[n] = [float(cell) for cell in row[2:]]
+                except ValueError:
+                    for name, cell in zip(header[2:], row[2:]):
+                        _parse_float(cell, line_no, name)
+                lines[n] = line_no
+                n += 1
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    if not n:
         raise ValidationError(f"{path}: no samples")
-    return out
+    draws = draws[:n]
+    bad = ~np.isfinite(draws)
+    positive = [COLUMN[name] for name in POSITIVE_SCALARS]
+    bad[:, positive] |= ~(draws[:, positive] > 0.0)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        name = header[2 + col]
+        need = "finite and positive" if name in POSITIVE_SCALARS else "finite"
+        raise ValidationError(f"{path} line {lines[row]}: {name} must be {need}, "
+                              f"got {draws[row, col]!r}")
+    return Samples(chain=chain[:n], draws=draws, coeff_shape=(k1, k2))
 
 
 # ---------------------------------------------------------------------------

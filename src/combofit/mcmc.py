@@ -10,15 +10,17 @@ exact conjugate draws.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import InitializationError, ValidationError
-from .model import (EXP_CLAMP, LN10, PHI_NAMES, POW10_CLAMP, HalfCauchyPrior,
-                    InverseGammaPrior, ParameterState, PriorSpec, initial_state,
-                    linear_axes, log_likelihood, log_prior)
+from .model import (COLUMN, EXP_CLAMP, N_SCALARS, PHI_NAMES, HalfCauchyPrior,
+                    InverseGammaPrior, ParameterState, PriorSpec, SurfaceDesign,
+                    curve_values, initial_state, linear_axes, link_values,
+                    log_prior, observation_log_densities, surfaces)
 from .splines import SplineSpec, basis_matrix, penalty_precision
 
 BLOCK_NAMES = (
@@ -28,10 +30,20 @@ BLOCK_NAMES = (
     "sigma2_eps",
 )
 
+# Draws per block when chain_from_draws evaluates surfaces; bounds the
+# temporaries at a few hundred kB on a plate-sized grid.
+_REBUILD_BLOCK = 128
+
 _VARIANCE_BLOCKS = {
     "sigma2_m1": "m1", "sigma2_m2": "m2", "sigma2_gamma0": "gamma0",
     "sigma2_gamma1": "gamma1", "sigma2_gamma2": "gamma2",
 }
+
+# Subtracting p0 from these gives the link's numerators -p0 and 1 - p0.
+_NUMERATOR_SHIFT = np.array((0.0, 1.0)).reshape(2, 1, 1)
+
+# The sampler's attribute holding each N(0, sigma2_phi) parameter.
+_PHI_ATTRIBUTES = {"m1": "m1", "m2": "m2", "gamma0": "g0", "gamma1": "g1", "gamma2": "g2"}
 
 DEFAULT_PROPOSAL_SCALES = {
     "m1": 0.1, "m2": 0.1, "lambda1": 0.1, "lambda2": 0.1, "b": 0.15,
@@ -106,6 +118,11 @@ class AdaptiveState:
     history and a Robbins-Monro-tuned scalar multiplier s. Before adapt_start
     iterations the proposal is an isotropic Gaussian with the configured
     initial scale.
+
+    A two-dimensional block keeps its sums as floats (sum_tt holds the
+    entries 00, 01 and 11) and factors its 2 x 2 covariance in closed form,
+    with the operations and so the bits of the LAPACK factorisation behind
+    np.linalg.cholesky; numpy's per-call overhead dominates at that size.
     """
 
     def __init__(self, dim, initial_scale, target, adapt_start, jitter, rm_decay):
@@ -121,9 +138,14 @@ class AdaptiveState:
             self.sum_t = 0.0
             self.sum_tt = 0.0
             self.step_sd = None
+        elif dim == 2:
+            self.sum_t = [0.0, 0.0]
+            self.sum_tt = [0.0, 0.0, 0.0]
+            self.chol = None
         else:
             self.sum_t = np.zeros(dim)
             self.sum_tt = np.zeros((dim, dim))
+            self.jitter_eye = self.jitter * np.eye(dim)
             self.chol = None
 
     def propose_step(self, rng):
@@ -141,9 +163,16 @@ class AdaptiveState:
         if self.dim == 1:
             self.sum_t += t
             self.sum_tt += t * t
+        elif self.dim == 2:
+            t0, t1 = t
+            self.sum_t[0] += t0
+            self.sum_t[1] += t1
+            self.sum_tt[0] += t0 * t0
+            self.sum_tt[1] += t0 * t1
+            self.sum_tt[2] += t1 * t1
         else:
             self.sum_t += t
-            self.sum_tt += np.outer(t, t)
+            self.sum_tt += t[:, None] * t
         if iteration <= self.adapt_start or self.count < 2:
             return
         self.log_s += iteration ** (-self.rm_decay) * (accept_prob - self.target)
@@ -153,24 +182,33 @@ class AdaptiveState:
         if self.dim == 1:
             var = (self.sum_tt - self.sum_t * self.sum_t / n) / (n - 1)
             self.step_sd = math.sqrt(s * (max(var, 0.0) + self.jitter))
+        elif self.dim == 2:
+            (m0, m1), (q00, q01, q11) = self.sum_t, self.sum_tt
+            a11 = ((q00 - m0 * m0 / n) / (n - 1) + self.jitter) * s
+            a21 = ((q01 - m0 * m1 / n) / (n - 1) + 0.0) * s
+            a22 = ((q11 - m1 * m1 / n) / (n - 1) + self.jitter) * s
+            # LAPACK's order: l21 = a21 * (1 / l11), l22 = sqrt(a22 - l21^2);
+            # a pivot that is not positive keeps the previous factor, as below
+            if a11 > 0.0:
+                l11 = math.sqrt(a11)
+                l21 = a21 * (1.0 / l11)
+                pivot = a22 - l21 * l21
+                if pivot > 0.0:
+                    self.chol = np.array(((l11, 0.0), (l21, math.sqrt(pivot))))
         else:
-            cov = (self.sum_tt - np.outer(self.sum_t, self.sum_t) / n) / (n - 1)
-            xi = s * (cov + self.jitter * np.eye(self.dim))
+            # s * (cov + jitter I), built in place in the order of that expression
+            xi = self.sum_t[:, None] * self.sum_t
+            xi /= n
+            np.subtract(self.sum_tt, xi, out=xi)
+            xi /= n - 1
+            xi += self.jitter_eye
+            xi *= s
             try:
                 self.chol = np.linalg.cholesky(xi)
             except np.linalg.LinAlgError:
                 # Keep the previous factor; the running covariance can lose
                 # definiteness to rounding when the chain has barely moved.
                 pass
-
-    def covariance(self):
-        """Current covariance estimate of the block history (for diagnostics)."""
-        n = self.count
-        if n < 2:
-            return None
-        if self.dim == 1:
-            return (self.sum_tt - self.sum_t * self.sum_t / n) / (n - 1)
-        return (self.sum_tt - np.outer(self.sum_t, self.sum_t) / n) / (n - 1)
 
 
 def variance_posterior_params(prior: InverseGammaPrior, sum_sq: float, n_terms: float):
@@ -184,9 +222,13 @@ def draw_inverse_gamma(rng, shape: float, rate: float) -> float:
 
 @dataclass
 class PosteriorChain:
-    """Retained samples of one chain plus the per-sample surfaces."""
+    """Retained draws of one chain plus the per-draw surfaces.
 
-    states: list
+    draws has one row per retained draw, in model.DRAW_SCALARS order followed
+    by the spline coefficients C in row-major order.
+    """
+
+    draws: np.ndarray
     p0: np.ndarray
     delta: np.ndarray
     obs_log_densities: np.ndarray
@@ -199,30 +241,23 @@ class PosteriorChain:
     linear_scale: str
 
     def __len__(self):
-        return len(self.states)
+        return self.draws.shape[0]
 
     @property
     def p(self) -> np.ndarray:
         return self.p0 + self.delta
 
     def scalar_series(self, name: str) -> np.ndarray:
-        if name in PHI_NAMES or name in ("lambda1", "lambda2", "b1", "b2", "sigma2_eps"):
-            return np.array([getattr(s, name) for s in self.states])
-        if name.startswith("sigma2_"):
-            phi = name[len("sigma2_"):]
-            return np.array([s.sigma2_phi[phi] for s in self.states])
-        raise ValidationError(f"unknown scalar series {name!r}")
+        if name not in COLUMN:
+            raise ValidationError(f"unknown scalar series {name!r}")
+        return self.draws[:, COLUMN[name]]
 
     def coefficient_series(self) -> np.ndarray:
-        return np.stack([s.C for s in self.states])
+        return self.draws[:, N_SCALARS:].reshape(len(self), self.spline.k1, self.spline.k2)
 
     def posterior_mean_delta(self) -> SurfaceGrid:
         return SurfaceGrid(values=self.delta.mean(axis=0), axis1=self.grid.logc1,
                            axis2=self.grid.logc2, label="delta_mean")
-
-    def posterior_mean_p(self) -> SurfaceGrid:
-        return SurfaceGrid(values=self.p.mean(axis=0), axis1=self.grid.logc1,
-                           axis2=self.grid.logc2, label="p_mean")
 
 
 class _Sampler:
@@ -237,7 +272,6 @@ class _Sampler:
         self.config = config
         self.linear_scale = linear_scale
         self.chain_index = chain_index
-        self.prior_only = prior_only
 
         self.basis1 = basis_matrix(grid.logc1, spline.knots1, spline.degree)
         self.basis2 = basis_matrix(grid.logc2, spline.knots2, spline.degree)
@@ -284,15 +318,16 @@ class _Sampler:
         self.s2phi = dict(start.sigma2_phi)
         self.s2eps = start.sigma2_eps
 
+        self.likelihood = not prior_only
         self.f1 = self._curve(grid.logc1, self.m1, self.lam1)
         self.f2 = self._curve(grid.logc2, self.m2, self.lam2)
-        self.p0 = np.outer(self.f1, self.f2)
-        self.spl = self.basis1 @ self.C @ self.basis2.T
-        self.lin = self.g0 + self.g1 * self.u1_col + self.g2 * self.u2_row
-        self.bpred = self.lin + self.spl
+        self.p0_parts = self._p0_parts(self.f1, self.f2)
+        lin = self.g0 + self.g1 * self.u1_col + self.g2 * self.u2_row
+        self.bpred = lin + self.basis1 @ self.C @ self.basis2.T
+        self.slopes = self._slopes(self.b1, self.b2)
+        self.link_parts = self._link_parts(self.bpred, self.slopes)
         self.quad = float(np.sum(self.prec2 * (self.C.T @ self.prec1 @ self.C)))
-        self.delta, self.p, self.ss = self._delta_p_ss(self.p0, self.bpred,
-                                                       self.b1, self.b2)
+        self.delta, self.p, self.ss = self._fit(self.p0_parts, self.link_parts)
 
         start_ll = self._loglik(self.ss, self.s2eps)
         start_lp = log_prior(start, priors, spline)
@@ -323,19 +358,61 @@ class _Sampler:
 
     # -- numerics ----------------------------------------------------------
 
-    @staticmethod
-    def _curve(logc, m, lam):
-        t = np.clip(lam * (logc - m), -POW10_CLAMP, POW10_CLAMP)
-        return 1.0 / (1.0 + np.exp(LN10 * t))
+    # Delta = -p0 / (1 + exp(b1 B)) + (1 - p0) / (1 + exp(-b2 B)), as in
+    # model.link_values, with the same operations. Each block update changes
+    # either p0 (m, lambda) or the denominators (b, gamma, C), so the sampler
+    # keeps the numerators and the denominators, each pair stacked on a
+    # leading axis of two, and recomputes only the pair a proposal touches.
+    # Without a likelihood nothing on the grid enters an acceptance ratio:
+    # these helpers then skip the grid and _fit reports ss = 0.0, the exact
+    # value the full computation gives when there is no data.
 
-    def _delta_p_ss(self, p0, bpred, b1, b2):
-        z1 = np.clip(b1 * bpred, -EXP_CLAMP, EXP_CLAMP)
-        z2 = np.clip(-b2 * bpred, -EXP_CLAMP, EXP_CLAMP)
-        g = -p0 / (1.0 + np.exp(z1)) + (1.0 - p0) / (1.0 + np.exp(z2))
-        delta = g * self.mask
+    def _curve(self, axis, m, lam):
+        return curve_values(axis, m, lam) if self.likelihood else None
+
+    def _p0_parts(self, f1, f2):
+        """p0 = f1 f2^T and the stacked numerators -p0 and 1 - p0."""
+        if not self.likelihood:
+            return None
+        p0 = f1[:, None] * f2
+        # 0.0 - p0 is -p0 up to the sign of a zero, which leaves Delta unchanged
+        return p0, np.subtract(_NUMERATOR_SHIFT, p0)
+
+    @staticmethod
+    def _slopes(b1, b2):
+        """b1 and -b2 on a leading axis: the link's exponents are slopes * B."""
+        return np.array((b1, -b2)).reshape(2, 1, 1)
+
+    def _link_parts(self, bpred, slopes):
+        """The stacked denominators 1 + exp(b1 B) and 1 + exp(-b2 B)."""
+        if not self.likelihood:
+            return None
+        d = bpred * slopes
+        np.maximum(d, -EXP_CLAMP, out=d)
+        np.minimum(d, EXP_CLAMP, out=d)
+        np.exp(d, out=d)
+        d += 1.0
+        return d
+
+    def _fit(self, p0_parts, link_parts):
+        """Delta, p = p0 + Delta and the residual sum of squares of the plate."""
+        if not self.likelihood:
+            return None, None, 0.0
+        p0, numerators = p0_parts
+        terms = numerators / link_parts
+        delta = np.add(terms[0], terms[1], out=terms[0])
+        delta *= self.mask
         p = p0 + delta
         ss = self.n_rep * float(np.vdot(p, p)) - 2.0 * float(np.vdot(p, self.s1)) + self.s2_total
         return delta, p, ss
+
+    def _surfaces(self):
+        """p0 and Delta of the current state."""
+        if self.likelihood:
+            return self.p0_parts[0], self.delta
+        p0 = np.outer(curve_values(self.grid.logc1, self.m1, self.lam1),
+                      curve_values(self.grid.logc2, self.m2, self.lam2))
+        return p0, link_values(self.bpred, p0, self.b1, self.b2) * self.mask
 
     def _loglik(self, ss, s2eps):
         if self.n_obs == 0:
@@ -355,27 +432,28 @@ class _Sampler:
 
     def _update_m(self, name, iteration):
         ad = self.adapters[name]
-        cur = self.m1 if name == "m1" else self.m2
+        first = name == "m1"
+        cur = self.m1 if first else self.m2
         cand = cur + ad.propose_step(self.rng)
-        if name == "m1":
-            f1c = self._curve(self.grid.logc1, cand, self.lam1)
-            p0c = np.outer(f1c, self.f2)
+        if first:
+            f1c, f2c = self._curve(self.grid.logc1, cand, self.lam1), self.f2
         else:
-            f2c = self._curve(self.grid.logc2, cand, self.lam2)
-            p0c = np.outer(self.f1, f2c)
-        deltac, pc, ssc = self._delta_p_ss(p0c, self.bpred, self.b1, self.b2)
+            f1c, f2c = self.f1, self._curve(self.grid.logc2, cand, self.lam2)
+        p0c = self._p0_parts(f1c, f2c)
+        deltac, pc, ssc = self._fit(p0c, self.link_parts)
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  - (cand * cand - cur * cur) / (2.0 * self.s2phi[name]))
         a, ok = self._decide(log_a)
         self.proposed[name] += 1
         if ok:
             self.accepted[name] += 1
-            if name == "m1":
-                self.m1, self.f1 = cand, f1c
+            if first:
+                self.m1 = cand
             else:
-                self.m2, self.f2 = cand, f2c
-            self.p0, self.delta, self.p, self.ss = p0c, deltac, pc, ssc
-        ad.observe(self.m1 if name == "m1" else self.m2, a, iteration)
+                self.m2 = cand
+            self.f1, self.f2 = f1c, f2c
+            self.p0_parts, self.delta, self.p, self.ss = p0c, deltac, pc, ssc
+        ad.observe(self.m1 if first else self.m2, a, iteration)
 
     def _update_lambda(self, name, iteration):
         ad = self.adapters[name]
@@ -388,13 +466,13 @@ class _Sampler:
         if not (math.isfinite(cand) and cand > 0.0):
             ad.observe(t, 0.0, iteration)
             return
-        if name == "lambda1":
-            f1c = self._curve(self.grid.logc1, self.m1, cand)
-            p0c = np.outer(f1c, self.f2)
+        first = name == "lambda1"
+        if first:
+            f1c, f2c = self._curve(self.grid.logc1, self.m1, cand), self.f2
         else:
-            f2c = self._curve(self.grid.logc2, self.m2, cand)
-            p0c = np.outer(self.f1, f2c)
-        deltac, pc, ssc = self._delta_p_ss(p0c, self.bpred, self.b1, self.b2)
+            f1c, f2c = self.f1, self._curve(self.grid.logc2, self.m2, cand)
+        p0c = self._p0_parts(f1c, f2c)
+        deltac, pc, ssc = self._fit(p0c, self.link_parts)
         # Gamma prior and the log-transform Jacobian combine into
         # (cand/cur)^shape * exp(-rate * (cand - cur)).
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
@@ -402,23 +480,27 @@ class _Sampler:
         a, ok = self._decide(log_a)
         if ok:
             self.accepted[name] += 1
-            if name == "lambda1":
-                self.lam1, self.f1 = cand, f1c
+            if first:
+                self.lam1 = cand
             else:
-                self.lam2, self.f2 = cand, f2c
-            self.p0, self.delta, self.p, self.ss = p0c, deltac, pc, ssc
+                self.lam2 = cand
+            self.f1, self.f2 = f1c, f2c
+            self.p0_parts, self.delta, self.p, self.ss = p0c, deltac, pc, ssc
         ad.observe(math.log(cur if not ok else cand), a, iteration)
 
     def _update_b(self, iteration):
         ad = self.adapters["b"]
-        t = np.array([math.log(self.b1), math.log(self.b2)])
-        tc = t + ad.propose_step(self.rng)
+        t = (math.log(self.b1), math.log(self.b2))
+        step = ad.propose_step(self.rng).tolist()
+        tc = (t[0] + step[0], t[1] + step[1])
         b1c, b2c = _safe_exp(tc[0]), _safe_exp(tc[1])
         self.proposed["b"] += 1
         if not (b1c > 0.0 and b2c > 0.0 and math.isfinite(b1c) and math.isfinite(b2c)):
             ad.observe(t, 0.0, iteration)
             return
-        deltac, pc, ssc = self._delta_p_ss(self.p0, self.bpred, b1c, b2c)
+        slopesc = self._slopes(b1c, b2c)
+        linkc = self._link_parts(self.bpred, slopesc)
+        deltac, pc, ssc = self._fit(self.p0_parts, linkc)
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  + self.priors.b1.shape * (tc[0] - t[0])
                  - self.priors.b1.rate * (b1c - self.b1)
@@ -428,6 +510,7 @@ class _Sampler:
         if ok:
             self.accepted["b"] += 1
             self.b1, self.b2 = b1c, b2c
+            self.slopes, self.link_parts = slopesc, linkc
             self.delta, self.p, self.ss = deltac, pc, ssc
             ad.observe(tc, a, iteration)
         else:
@@ -445,7 +528,8 @@ class _Sampler:
             bpredc = self.bpred + step * self.u1_col
         else:
             bpredc = self.bpred + step * self.u2_row
-        deltac, pc, ssc = self._delta_p_ss(self.p0, bpredc, self.b1, self.b2)
+        linkc = self._link_parts(bpredc, self.slopes)
+        deltac, pc, ssc = self._fit(self.p0_parts, linkc)
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  - (cand * cand - cur * cur) / (2.0 * self.s2phi[name]))
         a, ok = self._decide(log_a)
@@ -458,7 +542,7 @@ class _Sampler:
                 self.g1 = cand
             else:
                 self.g2 = cand
-            self.bpred = bpredc
+            self.bpred, self.link_parts = bpredc, linkc
             self.delta, self.p, self.ss = deltac, pc, ssc
         ad.observe((self.g0, self.g1, self.g2)[idx], a, iteration)
 
@@ -469,8 +553,9 @@ class _Sampler:
         Cc = self.C + dC
         dspl = self.basis1 @ dC @ self.basis2.T
         bpredc = self.bpred + dspl
-        deltac, pc, ssc = self._delta_p_ss(self.p0, bpredc, self.b1, self.b2)
-        quadc = float(np.sum(self.prec2 * (Cc.T @ self.prec1 @ Cc)))
+        linkc = self._link_parts(bpredc, self.slopes)
+        deltac, pc, ssc = self._fit(self.p0_parts, linkc)
+        quadc = float((self.prec2 * (Cc.T @ self.prec1 @ Cc)).sum())
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  - 0.5 * (quadc - self.quad))
         a, ok = self._decide(log_a)
@@ -478,16 +563,14 @@ class _Sampler:
         if ok:
             self.accepted["C"] += 1
             self.C = Cc
-            self.spl = self.spl + dspl
-            self.bpred = bpredc
+            self.bpred, self.link_parts = bpredc, linkc
             self.quad = quadc
             self.delta, self.p, self.ss = deltac, pc, ssc
-        ad.observe(self.C.ravel().copy(), a, iteration)
+        ad.observe(self.C.ravel(), a, iteration)
 
     def _update_sigma_phi(self, block, iteration):
         phi_name = _VARIANCE_BLOCKS[block]
-        phi = {"m1": self.m1, "m2": self.m2, "gamma0": self.g0,
-               "gamma1": self.g1, "gamma2": self.g2}[phi_name]
+        phi = getattr(self, _PHI_ATTRIBUTES[phi_name])
         if self.ig is not None:
             shape, rate = variance_posterior_params(self.ig, phi * phi, 1.0)
             self.s2phi[phi_name] = draw_inverse_gamma(self.rng, shape, rate)
@@ -539,50 +622,34 @@ class _Sampler:
 
     # -- main loop ---------------------------------------------------------
 
-    def _snapshot_state(self) -> ParameterState:
-        return ParameterState(
-            m1=self.m1, m2=self.m2, lambda1=self.lam1, lambda2=self.lam2,
-            b1=self.b1, b2=self.b2, gamma0=self.g0, gamma1=self.g1, gamma2=self.g2,
-            C=self.C.copy(), sigma2_phi=dict(self.s2phi), sigma2_eps=self.s2eps)
+    def _store_draw(self, row):
+        row[:N_SCALARS] = (self.m1, self.m2, self.lam1, self.lam2, self.b1, self.b2,
+                           self.g0, self.g1, self.g2,
+                           *(self.s2phi[name] for name in PHI_NAMES), self.s2eps)
+        row[N_SCALARS:] = self.C.ravel()
 
     def run(self) -> PosteriorChain:
         cfg = self.config
         n_keep = cfg.n_retained
-        states = []
+        kept_draws = np.empty((n_keep, N_SCALARS + self.C.size))
         kept_p0 = np.empty((n_keep, *self.grid.shape))
         kept_delta = np.empty((n_keep, *self.grid.shape))
         kept_ld = np.empty((n_keep, self.n_obs))
         kept = 0
-        active = self.active
+        updates = {
+            "b": self._update_b, "C": self._update_C, "sigma2_eps": self._update_sigma_eps,
+            **{name: partial(self._update_m, name) for name in ("m1", "m2")},
+            **{name: partial(self._update_lambda, name) for name in ("lambda1", "lambda2")},
+            **{name: partial(self._update_gamma, name) for name in ("gamma0", "gamma1", "gamma2")},
+            **{name: partial(self._update_sigma_phi, name) for name in _VARIANCE_BLOCKS},
+        }
+        sweep = [updates[name] for name in BLOCK_NAMES if name in self.active]
         for g in range(1, cfg.n_iter + 1):
-            if "m1" in active:
-                self._update_m("m1", g)
-            if "m2" in active:
-                self._update_m("m2", g)
-            if "lambda1" in active:
-                self._update_lambda("lambda1", g)
-            if "lambda2" in active:
-                self._update_lambda("lambda2", g)
-            if "b" in active:
-                self._update_b(g)
-            if "gamma0" in active:
-                self._update_gamma("gamma0", g)
-            if "gamma1" in active:
-                self._update_gamma("gamma1", g)
-            if "gamma2" in active:
-                self._update_gamma("gamma2", g)
-            if "C" in active:
-                self._update_C(g)
-            for block in ("sigma2_m1", "sigma2_m2", "sigma2_gamma0",
-                          "sigma2_gamma1", "sigma2_gamma2"):
-                if block in active:
-                    self._update_sigma_phi(block, g)
-            if "sigma2_eps" in active:
-                self._update_sigma_eps(g)
+            for update in sweep:
+                update(g)
             if g > cfg.burn_in and (g - cfg.burn_in) % cfg.thin == 0 and kept < n_keep:
-                states.append(self._snapshot_state())
-                kept_p0[kept] = self.p0
-                kept_delta[kept] = self.delta
+                self._store_draw(kept_draws[kept])
+                kept_p0[kept], kept_delta[kept] = self._surfaces()
                 if self.n_obs:
                     resid = self.y - self.p[:, :, None]
                     kept_ld[kept] = (-0.5 * math.log(2.0 * math.pi * self.s2eps)
@@ -591,7 +658,7 @@ class _Sampler:
         rates = {name: (self.accepted[name] / self.proposed[name] if self.proposed[name] else 0.0)
                  for name in self.adapters}
         return PosteriorChain(
-            states=states, p0=kept_p0, delta=kept_delta, obs_log_densities=kept_ld,
+            draws=kept_draws, p0=kept_p0, delta=kept_delta, obs_log_densities=kept_ld,
             accept_rates=rates, config=cfg, chain_index=self.chain_index,
             grid=self.grid, spline=self.spline, priors=self.priors,
             linear_scale=self.linear_scale)
@@ -618,36 +685,35 @@ def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec =
     return sampler.run()
 
 
-def chain_from_states(data: PlateDataset, states, spline: SplineSpec = None,
-                      priors: PriorSpec = None, linear_scale: str = "log10",
-                      config: ChainConfig = None, chain_index: int = 0) -> PosteriorChain:
-    """Rebuild a PosteriorChain from stored parameter states.
+def chain_from_draws(data: PlateDataset, draws: np.ndarray, spline: SplineSpec = None,
+                     priors: PriorSpec = None, linear_scale: str = "log10",
+                     config: ChainConfig = None, chain_index: int = 0) -> PosteriorChain:
+    """Rebuild a PosteriorChain from a stored draws array.
 
-    The per-sample surfaces and observation log densities are recomputed from
-    the model, so summaries derived from a samples file match the original
-    run to floating-point roundoff.
+    The per-draw surfaces and observation log densities are recomputed from
+    the model, a block of draws at a time, so summaries derived from a
+    samples file match the original run to floating-point roundoff.
     """
-    from .model import (interaction_surface, mean_surface, observation_log_densities,
-                        zero_interaction_surface)
-
-    if not states:
-        raise ValidationError("need at least one state")
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or draws.shape[0] < 1:
+        raise ValidationError("need a (draws, columns) array with at least one draw")
     grid = LogConcGrid.from_dataset(data)
     priors = PriorSpec() if priors is None else priors
     if spline is None:
         spline = SplineSpec.for_grid(grid, penalty_ridge=priors.spline_penalty_ridge)
-    n = len(states)
+    design = SurfaceDesign.on_grid(grid, spline, linear_scale)
+    n = draws.shape[0]
     p0 = np.empty((n, *grid.shape))
     delta = np.empty((n, *grid.shape))
     obs_ld = np.empty((n, data.n_obs))
-    for idx, state in enumerate(states):
-        p0[idx] = zero_interaction_surface(grid, state).values
-        delta[idx] = interaction_surface(grid, state, spline, linear_scale).values
-        obs_ld[idx] = observation_log_densities(
-            data, p0[idx] + delta[idx], state.sigma2_eps).ravel()
+    for start in range(0, n, _REBUILD_BLOCK):
+        rows = slice(start, start + _REBUILD_BLOCK)
+        p0[rows], delta[rows] = surfaces(draws[rows], design)
+        obs_ld[rows] = observation_log_densities(
+            data, p0[rows] + delta[rows], draws[rows, COLUMN["sigma2_eps"]]).reshape(-1, data.n_obs)
     if config is None:
         config = ChainConfig(n_iter=n, burn_in=0, thin=1)
-    return PosteriorChain(states=list(states), p0=p0, delta=delta,
+    return PosteriorChain(draws=draws, p0=p0, delta=delta,
                           obs_log_densities=obs_ld, accept_rates={}, config=config,
                           chain_index=chain_index, grid=grid, spline=spline,
                           priors=priors, linear_scale=linear_scale)

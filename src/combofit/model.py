@@ -10,7 +10,7 @@ a bounded link so that p always stays in (0, 1).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,18 @@ POW10_CLAMP = 300.0
 PHI_NAMES = ("m1", "m2", "gamma0", "gamma1", "gamma2")
 
 LINEAR_SCALES = ("log10", "natural")
+
+# Columns of a draws array, one row per posterior draw: these scalars in this
+# order (samples.csv adds chain and sample in front), then the k1 * k2 spline
+# coefficients of C in row-major order.
+DRAW_SCALARS = (
+    "m1", "m2", "lambda1", "lambda2", "b1", "b2", "gamma0", "gamma1", "gamma2",
+    "sigma2_m1", "sigma2_m2", "sigma2_gamma0", "sigma2_gamma1", "sigma2_gamma2",
+    "sigma2_eps",
+)
+COLUMN = {name: index for index, name in enumerate(DRAW_SCALARS)}
+N_SCALARS = len(DRAW_SCALARS)
+POSITIVE_SCALARS = ("lambda1", "lambda2", "b1", "b2") + DRAW_SCALARS[9:]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +198,18 @@ def log_logistic_2ll(logx, m: float, lam: float):
         raise ValidationError("lam must be finite and positive")
     if not math.isfinite(m):
         raise ValidationError("m must be finite")
-    t = np.clip(lam * (np.asarray(logx, dtype=float) - m), -POW10_CLAMP, POW10_CLAMP)
+    return curve_values(np.asarray(logx, dtype=float), m, lam)
+
+
+def curve_values(logx, m, lam):
+    """Unchecked log_logistic_2ll; m and lam broadcast against logx."""
+    t = _clamped(lam * (logx - m), POW10_CLAMP)
     return 1.0 / (1.0 + np.exp(LN10 * t))
+
+
+def _clamped(values, bound):
+    """np.clip(values, -bound, bound), the same bits at a fraction of the call cost."""
+    return np.minimum(np.maximum(values, -bound), bound)
 
 
 def zero_interaction_surface(grid: LogConcGrid, state: ParameterState) -> SurfaceGrid:
@@ -208,31 +230,25 @@ def link_g(b_pred, p0, b1: float, b2: float):
     """
     if not (math.isfinite(b1) and b1 > 0.0 and math.isfinite(b2) and b2 > 0.0):
         raise ValidationError("b1 and b2 must be finite and positive")
-    b_pred = np.asarray(b_pred, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    z1 = np.clip(b1 * b_pred, -EXP_CLAMP, EXP_CLAMP)
-    z2 = np.clip(-b2 * b_pred, -EXP_CLAMP, EXP_CLAMP)
+    return link_values(np.asarray(b_pred, dtype=float), np.asarray(p0, dtype=float), b1, b2)
+
+
+def link_values(b_pred, p0, b1, b2):
+    """Unchecked link_g; every argument broadcasts against the others."""
+    z1 = _clamped(b1 * b_pred, EXP_CLAMP)
+    z2 = _clamped(-b2 * b_pred, EXP_CLAMP)
     return -p0 / (1.0 + np.exp(z1)) + (1.0 - p0) / (1.0 + np.exp(z2))
 
 
-def link_g_grad(b_pred, p0, b1: float, b2: float):
-    """Derivative of link_g with respect to B; positive everywhere."""
-    b_pred = np.asarray(b_pred, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    z1 = np.clip(b1 * b_pred, -EXP_CLAMP, EXP_CLAMP)
-    z2 = np.clip(b2 * b_pred, -EXP_CLAMP, EXP_CLAMP)
-    s1 = 1.0 / ((1.0 + np.exp(z1)) * (1.0 + np.exp(-z1)))
-    s2 = 1.0 / ((1.0 + np.exp(z2)) * (1.0 + np.exp(-z2)))
-    return p0 * b1 * s1 + (1.0 - p0) * b2 * s2
+def _linear_axis(axis, linear_scale):
+    if linear_scale not in LINEAR_SCALES:
+        raise ValidationError(f"linear_scale must be one of {LINEAR_SCALES}")
+    return axis if linear_scale == "log10" else 10.0 ** axis
 
 
 def linear_axes(grid: LogConcGrid, linear_scale: str = "log10"):
     """Concentration axes entering the linear part of the predictor."""
-    if linear_scale not in LINEAR_SCALES:
-        raise ValidationError(f"linear_scale must be one of {LINEAR_SCALES}")
-    if linear_scale == "log10":
-        return grid.logc1, grid.logc2
-    return 10.0 ** grid.logc1, 10.0 ** grid.logc2
+    return _linear_axis(grid.logc1, linear_scale), _linear_axis(grid.logc2, linear_scale)
 
 
 def interaction_predictor(grid: LogConcGrid, state: ParameterState, spline: SplineSpec,
@@ -265,16 +281,120 @@ def mean_surface(grid: LogConcGrid, state: ParameterState, spline: SplineSpec,
 
 
 # ---------------------------------------------------------------------------
+# The same surfaces for every row of a draws array
+
+
+@dataclass(frozen=True)
+class SurfaceDesign:
+    """Draw-independent factors of the surfaces on one pair of log10 axes.
+
+    The latent predictor of a draw is B = lift1 @ M @ lift2.T: each lift is a
+    spline basis with a column of ones and the linear axis appended, and M
+    (see coefficients) borders C with gamma0, gamma1 and gamma2. mask is the
+    border mask applied to Delta, or None.
+    """
+
+    axis1: np.ndarray
+    axis2: np.ndarray
+    lift1: np.ndarray
+    lift2: np.ndarray
+    mask: np.ndarray = None
+
+    @classmethod
+    def on_axes(cls, axis1, axis2, spline: SplineSpec, linear_scale: str = "log10",
+                mask=None) -> "SurfaceDesign":
+        def lift(axis, knots):
+            return np.column_stack((basis_matrix(axis, knots, spline.degree),
+                                    np.ones(axis.size), _linear_axis(axis, linear_scale)))
+        return cls(axis1, axis2, lift(axis1, spline.knots1), lift(axis2, spline.knots2), mask)
+
+    @classmethod
+    def on_grid(cls, grid: LogConcGrid, spline: SplineSpec,
+                linear_scale: str = "log10") -> "SurfaceDesign":
+        return cls.on_axes(grid.logc1, grid.logc2, spline, linear_scale, grid.border_mask())
+
+    def coefficients(self, draws: np.ndarray) -> np.ndarray:
+        """(n, k1 + 2, k2 + 2) stack of M: C, with gamma0 at [k1, k2], gamma1
+        at [k1 + 1, k2] and gamma2 at [k1, k2 + 1]."""
+        k1, k2 = self.lift1.shape[1] - 2, self.lift2.shape[1] - 2
+        if draws.shape[1] != N_SCALARS + k1 * k2:
+            raise ValidationError(f"draws have {draws.shape[1]} columns, the {k1} x {k2} "
+                                  f"spline layout needs {N_SCALARS + k1 * k2}")
+        coef = np.zeros((draws.shape[0], k1 + 2, k2 + 2))
+        coef[:, :k1, :k2] = draws[:, N_SCALARS:].reshape(-1, k1, k2)
+        for name, at in (("gamma0", (k1, k2)), ("gamma1", (k1 + 1, k2)), ("gamma2", (k1, k2 + 1))):
+            coef[(slice(None), *at)] = draws[:, COLUMN[name]]
+        return coef
+
+
+def _columns(draws, *names, trailing=1):
+    """Named columns of draws, each shaped (n, 1, ...) to broadcast per draw."""
+    return [draws[:, COLUMN[name]].reshape((-1,) + (1,) * trailing) for name in names]
+
+
+def surfaces(draws: np.ndarray, design: SurfaceDesign):
+    """p0 and Delta of every row of a draws array, two (n, n1, n2) arrays."""
+    m1, lam1, m2, lam2 = _columns(draws, "m1", "lambda1", "m2", "lambda2")
+    b1, b2 = _columns(draws, "b1", "b2", trailing=2)
+    p0 = (curve_values(design.axis1, m1, lam1)[:, :, None]
+          * curve_values(design.axis2, m2, lam2)[:, None, :])
+    b_pred = design.lift1 @ design.coefficients(draws) @ design.lift2.T
+    delta = link_values(b_pred, p0, b1, b2)
+    if design.mask is not None:
+        delta *= design.mask
+    return p0, delta
+
+
+def summed_mean_surface(draws: np.ndarray, design: SurfaceDesign) -> np.ndarray:
+    """Sum over the rows of draws of the unmasked mean surface p0 + g(B).
+
+    Uses p0 + g(B) = p0 s(b1 B) + (1 - p0) s(b2 B), s the logistic function,
+    one draw at a time through reused buffers, so the working set does not
+    grow with the number of draws.
+    """
+    m1, lam1, m2, lam2 = _columns(draws, "m1", "lambda1", "m2", "lambda2")
+    f1, f2 = curve_values(design.axis1, m1, lam1), curve_values(design.axis2, m2, lam2)
+    coef = design.coefficients(draws)
+    lift2_t = np.ascontiguousarray(design.lift2.T)
+    total = np.zeros((design.axis1.size, design.axis2.size))
+    pred, s1, p0 = np.empty_like(total), np.empty_like(total), np.empty_like(total)
+    for s, (b1, b2) in enumerate(draws[:, [COLUMN["b1"], COLUMN["b2"]]].tolist()):
+        np.matmul(design.lift1 @ coef[s], lift2_t, out=pred)
+        _logistic(b1, pred, out=s1)
+        _logistic(b2, pred, out=pred)
+        s1 -= pred
+        s1 *= np.outer(f1[s], f2[s], out=p0)
+        total += pred
+        total += s1
+    return total
+
+
+def _logistic(slope, values, out):
+    """1 / (1 + exp(-slope * values)); exp only overflows from above."""
+    np.multiply(values, -slope, out=out)
+    np.minimum(out, EXP_CLAMP, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+# ---------------------------------------------------------------------------
 # Likelihood and prior densities
 
 
 def observation_log_densities(data: PlateDataset, p_values: np.ndarray,
-                              sigma2_eps: float) -> np.ndarray:
-    """Per-observation Gaussian log densities, shape (n1+1, n2+1, n_rep)."""
-    if not (math.isfinite(sigma2_eps) and sigma2_eps > 0.0):
+                              sigma2_eps) -> np.ndarray:
+    """Per-observation Gaussian log densities, shape (..., n1+1, n2+1, n_rep).
+
+    p_values may carry leading axes, such as draws, with one sigma2_eps per
+    leading index.
+    """
+    sigma2 = np.asarray(sigma2_eps, dtype=float)
+    if not np.all(np.isfinite(sigma2) & (sigma2 > 0.0)):
         raise ValidationError("sigma2_eps must be finite and positive")
-    resid = data.viability - np.asarray(p_values, dtype=float)[:, :, None]
-    return -0.5 * math.log(2.0 * math.pi * sigma2_eps) - resid * resid / (2.0 * sigma2_eps)
+    sigma2 = sigma2[..., None, None, None]
+    resid = data.viability - np.asarray(p_values, dtype=float)[..., None]
+    return -0.5 * np.log(2.0 * math.pi * sigma2) - resid * resid / (2.0 * sigma2)
 
 
 def log_likelihood(data: PlateDataset, p, sigma2_eps: float) -> float:

@@ -8,28 +8,22 @@ import numpy as np
 
 from .data import SurfaceGrid
 from .errors import ValidationError
-from .model import link_g, log_logistic_2ll
-from .splines import basis_matrix, tensor_eval
+from .model import LN10, SurfaceDesign, summed_mean_surface
 
-
-def _logsumexp(a, axis=None):
-    a = np.asarray(a, dtype=float)
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
+# Whole-run acceptance outside this range marks a block as stuck or as
+# proposing steps too small to explore.
+ACCEPTANCE_RANGE = (0.05, 0.9)
 
 
 # ---------------------------------------------------------------------------
 # Curve- and surface-level scores
 
 
-def dss(m: float, lam: float, conc_range, threshold: float = 0.10,
-        n_points: int = 1001) -> float:
+def dss(m: float, lam: float, conc_range, threshold: float = 0.10) -> float:
     """Drug sensitivity score of a fitted 2LL curve over a log10 dose window.
 
-    Activity a(x) = 1 - f(x) is integrated (trapezoid) over the part of the
-    window where it exceeds the threshold t; the score is
+    Activity a(x) = 1 - f(x) is integrated over the part of the window where
+    it exceeds the threshold t; the score is
     100 * max(0, AUC - t * R) / ((1 - t) * R) with R the window width, so a
     fully inactive drug scores 0 and a fully active one 100.
     """
@@ -40,17 +34,23 @@ def dss(m: float, lam: float, conc_range, threshold: float = 0.10,
         raise ValidationError("threshold must lie in (0, 1)")
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValidationError("lam must be finite and positive")
+    return float(dss_scores(np.float64(m), np.float64(lam), lo, hi, threshold))
+
+
+def dss_scores(m, lam, lo: float, hi: float, threshold: float):
+    """dss for arrays of m and lam, unchecked, from the closed-form integral.
+
+    Activity is increasing in x, so the above-threshold region is an interval
+    [x_t, hi] with x_t in closed form, and the activity has antiderivative
+    log10(1 + 10^(lam (x - m))) / lam.
+    """
     width = hi - lo
-    # Activity is increasing in x, so the above-threshold region is an
-    # interval [x_t, hi]; its start is available in closed form.
-    x_t = m + math.log10(threshold / (1.0 - threshold)) / lam
-    x_t = min(max(x_t, lo), hi)
-    if x_t >= hi:
-        return 0.0
-    x = np.linspace(x_t, hi, n_points)
-    activity = 1.0 - log_logistic_2ll(x, m, lam)
-    auc = float(np.trapezoid(activity, x))
-    return 100.0 * max(0.0, auc - threshold * width) / ((1.0 - threshold) * width)
+    x_t = np.clip(m + math.log10(threshold / (1.0 - threshold)) / lam, lo, hi)
+    # log10(1 + 10^z) = logaddexp(0, z ln 10) / ln 10 without overflow
+    auc = (np.logaddexp(0.0, LN10 * lam * (hi - m))
+           - np.logaddexp(0.0, LN10 * lam * (x_t - m))) / (LN10 * lam)
+    score = 100.0 * np.maximum(0.0, auc - threshold * width) / ((1.0 - threshold) * width)
+    return np.where(x_t >= hi, 0.0, score)
 
 
 def rvus(surface: SurfaceGrid, lower: float, upper: float) -> float:
@@ -69,10 +69,16 @@ def rvus(surface: SurfaceGrid, lower: float, upper: float) -> float:
     span2 = surface.axis2[-1] - surface.axis2[0]
     if not (span1 > 0.0 and span2 > 0.0):
         raise ValidationError("rvus needs at least two points per axis")
-    volume = float(np.trapezoid(np.trapezoid(values, x=surface.axis2, axis=1),
-                                x=surface.axis1))
-    area = span1 * span2
-    return (volume - lower * area) / ((upper - lower) * area)
+    volume = float(mean_heights(values, surface.axis1, surface.axis2))
+    return (volume - lower) / (upper - lower)
+
+
+def mean_heights(values, axis1, axis2):
+    """Trapezoid volume under each surface of a (..., n1, n2) stack divided by
+    the area of its axes' box, in one contraction with fixed weights."""
+    w1, w2 = (np.trapezoid(np.eye(axis.size), axis) / (axis[-1] - axis[0])
+              for axis in (axis1, axis2))
+    return values.reshape(*values.shape[:-2], -1) @ np.outer(w1, w2).ravel()
 
 
 def bi_ec50(p_surface: SurfaceGrid, tolerance: float = 0.01) -> np.ndarray:
@@ -98,10 +104,24 @@ def lpml(obs_log_densities: np.ndarray) -> float:
     ld = np.asarray(obs_log_densities, dtype=float)
     if ld.ndim != 2 or ld.shape[0] < 1:
         raise ValidationError("need a (samples, observations) log-density matrix")
-    if not np.all(np.isfinite(ld)):
+    return _pooled_lpml([ld], np.ones(ld.shape[1], dtype=bool))
+
+
+def _pooled_lpml(blocks, columns) -> float:
+    """lpml of the row-wise stack of blocks, restricted to the boolean
+    columns, without building the stack."""
+    if not all(np.all(np.isfinite(block)) for block in blocks):
         raise ValidationError("log densities must be finite")
-    n_samples = ld.shape[0]
-    log_cpo = math.log(n_samples) - _logsumexp(-ld, axis=0)
+    n_samples = sum(block.shape[0] for block in blocks)
+    low = np.min([block.min(axis=0) for block in blocks], axis=0)[columns]
+    total = np.zeros(low.shape)
+    for block in blocks:
+        shifted = block[:, columns]
+        shifted -= low
+        np.negative(shifted, out=shifted)
+        np.exp(shifted, out=shifted)
+        total += shifted.sum(axis=0)
+    log_cpo = math.log(n_samples) - (np.log(total) - low)
     return float(np.sum(log_cpo))
 
 
@@ -150,28 +170,11 @@ def fine_mean_surface(chains, n_points: int = 100) -> SurfaceGrid:
     """
     chains = _pool(chains)
     grid = chains[0].grid
-    spline = chains[0].spline
-    linear_scale = chains[0].linear_scale
     ax1 = np.linspace(grid.logc1[1], grid.logc1[-1], n_points)
     ax2 = np.linspace(grid.logc2[1], grid.logc2[-1], n_points)
-    basis1 = basis_matrix(ax1, spline.knots1, spline.degree)
-    basis2 = basis_matrix(ax2, spline.knots2, spline.degree)
-    if linear_scale == "log10":
-        u1, u2 = ax1, ax2
-    else:
-        u1, u2 = 10.0 ** ax1, 10.0 ** ax2
-    total = np.zeros((n_points, n_points))
-    count = 0
-    for chain in chains:
-        for state in chain.states:
-            f1 = log_logistic_2ll(ax1, state.m1, state.lambda1)
-            f2 = log_logistic_2ll(ax2, state.m2, state.lambda2)
-            p0 = np.outer(f1, f2)
-            b_pred = (state.gamma0 + state.gamma1 * u1[:, None]
-                      + state.gamma2 * u2[None, :]
-                      + tensor_eval(basis1, state.C, basis2))
-            total += p0 + link_g(b_pred, p0, state.b1, state.b2)
-            count += 1
+    design = SurfaceDesign.on_axes(ax1, ax2, chains[0].spline, chains[0].linear_scale)
+    total = sum(summed_mean_surface(chain.draws, design) for chain in chains)
+    count = sum(len(chain) for chain in chains)
     return SurfaceGrid(values=total / count, axis1=ax1, axis2=ax2, label="p_fine")
 
 
@@ -198,6 +201,7 @@ class SummaryReport:
     dss_threshold: float
     posterior_mean: dict = field(default_factory=dict)
     acceptance: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,6 +214,7 @@ class SummaryReport:
             "bi_ec50_tolerance": self.bi_ec50_tolerance,
             "bi_ec50_points": [[float(a), float(b)] for a, b in self.bi_ec50_points],
             "acceptance": self.acceptance,
+            "warnings": self.warnings,
         }
 
 
@@ -227,52 +232,43 @@ def summarize_chains(chains, dss_threshold: float = 0.10,
 
     LPML is reported over the combination observations only (both doses
     nonzero): the monotherapy borders inform the fit but the predictive score
-    targets the cells where an interaction is possible.
+    targets the cells where an interaction is possible. warnings names each
+    chain's blocks whose whole-run acceptance lies outside ACCEPTANCE_RANGE.
     """
     chains = _pool(chains)
     grid = chains[0].grid
-    dss_range1 = (float(grid.logc1[1]), float(grid.logc1[-1]))
-    dss_range2 = (float(grid.logc2[1]), float(grid.logc2[-1]))
+    lo1, hi1 = float(grid.logc1[1]), float(grid.logc1[-1])
+    lo2, hi2 = float(grid.logc2[1]), float(grid.logc2[-1])
 
-    dss1, dss2 = [], []
-    scores = {key: [] for key in ("p0", "abs_delta", "delta_plus", "delta_minus",
-                                  "one_minus_p")}
-    for chain in chains:
-        for s, state in enumerate(chain.states):
-            dss1.append(dss(state.m1, state.lambda1, dss_range1, dss_threshold))
-            dss2.append(dss(state.m2, state.lambda2, dss_range2, dss_threshold))
-            p0 = chain.p0[s]
-            delta = chain.delta[s]
-            bound = float(np.max(np.maximum(p0, 1.0 - p0)))
-            ax = dict(axis1=grid.logc1, axis2=grid.logc2)
-            scores["p0"].append(rvus(SurfaceGrid(values=p0, **ax), 0.0, 1.0))
-            scores["abs_delta"].append(
-                rvus(SurfaceGrid(values=np.abs(delta), **ax), 0.0, bound))
-            scores["delta_plus"].append(
-                rvus(SurfaceGrid(values=np.abs(np.minimum(delta, 0.0)), **ax), 0.0, bound))
-            scores["delta_minus"].append(
-                rvus(SurfaceGrid(values=np.maximum(delta, 0.0), **ax), 0.0, bound))
-            scores["one_minus_p"].append(
-                rvus(SurfaceGrid(values=1.0 - (p0 + delta), **ax), 0.0, 1.0))
+    def pooled(name):
+        return np.concatenate([chain.scalar_series(name) for chain in chains])
+
+    dss1 = dss_scores(pooled("m1"), pooled("lambda1"), lo1, hi1, dss_threshold)
+    dss2 = dss_scores(pooled("m2"), pooled("lambda2"), lo2, hi2, dss_threshold)
+    keys = ("p0", "abs_delta", "delta_plus", "delta_minus", "one_minus_p")
+    scores = np.concatenate([_rvus_scores(chain.p0, chain.delta, grid)
+                             for chain in chains], axis=1)
 
     labels = {"delta_plus": "synergistic", "delta_minus": "antagonistic"}
     if swap_interaction_labels:
         labels = {"delta_plus": "antagonistic", "delta_minus": "synergistic"}
 
     fine = fine_mean_surface(chains, n_points=fine_points)
-    pooled_ld = np.vstack([chain.obs_log_densities for chain in chains])
-    n_samples = sum(len(chain.states) for chain in chains)
+    n_samples = sum(len(chain) for chain in chains)
+    mean_p0 = sum(chain.p0.sum(axis=0) for chain in chains) / n_samples
+    mean_delta = sum(chain.delta.sum(axis=0) for chain in chains) / n_samples
 
-    mean_p0 = np.mean(np.concatenate([chain.p0 for chain in chains]), axis=0)
-    mean_delta = np.mean(np.concatenate([chain.delta for chain in chains]), axis=0)
-
-    combo = combination_columns(grid, pooled_ld.shape[1])
+    blocks = [chain.obs_log_densities for chain in chains]
+    combo = combination_columns(grid, blocks[0].shape[1])
+    lo, hi = ACCEPTANCE_RANGE
+    warnings = [{"chain": i, "block": block, "acceptance": rate}
+                for i, chain in enumerate(chains)
+                for block, rate in chain.accept_rates.items() if not lo <= rate <= hi]
     return SummaryReport(
         n_samples=n_samples,
-        lpml=lpml(pooled_ld[:, combo]),
-        dss={"drug1": _quantile_stats(np.array(dss1)),
-             "drug2": _quantile_stats(np.array(dss2))},
-        rvus={key: _quantile_stats(np.array(vals)) for key, vals in scores.items()},
+        lpml=_pooled_lpml(blocks, combo),
+        dss={"drug1": _quantile_stats(dss1), "drug2": _quantile_stats(dss2)},
+        rvus={key: _quantile_stats(vals) for key, vals in zip(keys, scores)},
         interaction_labels=labels,
         bi_ec50_points=bi_ec50(fine, bi_ec50_tolerance),
         bi_ec50_tolerance=bi_ec50_tolerance,
@@ -283,4 +279,19 @@ def summarize_chains(chains, dss_threshold: float = 0.10,
             "p": mean_p0 + mean_delta,
         },
         acceptance={str(i): dict(chain.accept_rates) for i, chain in enumerate(chains)},
+        warnings=warnings,
     )
+
+
+def _rvus_scores(p0, delta, grid):
+    """(5, n) rVUS of p0, |Delta|, its two signed parts and 1 - p per draw.
+
+    The interaction parts share the |Delta| bounding box of their own draw,
+    max over the grid of max(p0, 1 - p0).
+    """
+    bound = np.max(np.maximum(p0, 1.0 - p0), axis=(1, 2))
+    stack = np.stack((p0, np.abs(delta), np.maximum(-delta, 0.0),
+                      np.maximum(delta, 0.0), 1.0 - (p0 + delta)))
+    heights = mean_heights(stack, grid.logc1, grid.logc2)
+    heights[1:4] /= bound
+    return heights

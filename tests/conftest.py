@@ -5,6 +5,12 @@ from combofit import (ChainConfig, LogConcGrid, PlateDataset, SplineSpec,
                       run_chain)
 
 
+def pytest_collection_modifyitems(items):
+    """Run the unit tests first and the acceptance suite, which takes
+    minutes of sampling, last; the order within each group is unchanged."""
+    items.sort(key=lambda item: item.path.name == "test_acceptance.py")
+
+
 def _make_small_plate():
     rng = np.random.default_rng(42)
     conc1 = np.array([0.0, 0.01, 0.1, 1.0, 10.0])

@@ -71,7 +71,7 @@ def test_fit_writes_all_outputs(tmp_path, plate_csv):
                                     "delta_minus", "one_minus_p"}
     assert summary["interaction_labels"]["delta_plus"] == "synergistic"
     samples = read_samples_csv(outdir / "samples.csv")
-    assert len(samples) == 50
+    assert len(samples.draws) == 50
     surface = read_surface_csv(outdir / "surface_p.csv")
     assert surface.values.shape == (5, 4)
     p0 = read_surface_csv(outdir / "surface_p0.csv").values
@@ -91,8 +91,8 @@ def test_fit_multiple_chains(tmp_path, plate_csv):
     outdir = tmp_path / "fit"
     assert _fit(plate_csv, outdir, "--chains", "2") == 0
     samples = read_samples_csv(outdir / "samples.csv")
-    assert len(samples) == 100
-    assert {index for index, _ in samples} == {0, 1}
+    assert len(samples.draws) == 100
+    assert set(samples.chain.tolist()) == {0, 1}
     summary = read_json(outdir / "summary.json")
     assert summary["n_samples"] == 100
     assert set(summary["acceptance"]) == {"0", "1"}
@@ -164,9 +164,93 @@ def test_summarize_matches_fit(tmp_path, plate_csv):
     fit_summary = read_json(fit_dir / "summary.json")
     summary = read_json(summ_dir / "summary.json")
     assert summary["n_samples"] == fit_summary["n_samples"]
-    assert summary["lpml"] == pytest.approx(fit_summary["lpml"], rel=1e-6)
+    assert summary["lpml"] == pytest.approx(fit_summary["lpml"], rel=1e-12)
     assert summary["dss"]["drug1"]["median"] == pytest.approx(
-        fit_summary["dss"]["drug1"]["median"], rel=1e-6)
+        fit_summary["dss"]["drug1"]["median"], rel=1e-12)
+
+
+def test_summarize_rejects_a_different_coefficient_layout(tmp_path, plate_csv, capsys):
+    fit_dir = tmp_path / "fit"
+    assert _fit(plate_csv, fit_dir) == 0
+    assert main(["summarize", "--input", str(plate_csv),
+                 "--samples", str(fit_dir / "samples.csv"), "--k1", "4", "--k2", "9",
+                 "--outdir", str(tmp_path / "summ")]) == 1
+    assert "6 x 6 coefficient matrix" in capsys.readouterr().err
+
+
+def test_summarize_groups_interleaved_chain_rows(tmp_path, plate_csv):
+    fit_dir = tmp_path / "fit"
+    assert _fit(plate_csv, fit_dir, "--chains", "2") == 0
+    lines = (fit_dir / "samples.csv").read_text().splitlines()
+    shuffled = tmp_path / "shuffled.csv"
+    rows = lines[1:]
+    shuffled.write_text("\n".join([lines[0]] + rows[::2] + rows[1::2]) + "\n")
+    outs = []
+    for name, samples in (("a", fit_dir / "samples.csv"), ("b", shuffled)):
+        assert main(["summarize", "--input", str(plate_csv), "--samples", str(samples),
+                     "--outdir", str(tmp_path / name), "--fine-points", "20"]) == 0
+        outs.append(read_json(tmp_path / name / "summary.json"))
+    assert outs[1]["acceptance"] == outs[0]["acceptance"] == {"0": {}, "1": {}}
+    assert outs[1]["lpml"] == pytest.approx(outs[0]["lpml"], rel=1e-12)
+    for group in ("dss", "rvus"):
+        for key, stats in outs[0][group].items():
+            assert outs[1][group][key] == pytest.approx(stats, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Fail-fast checks, atomic outputs and acceptance warnings
+
+
+def test_fit_checks_truth_before_sampling(tmp_path, plate_csv, monkeypatch, capsys):
+    import combofit.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("log10_drug1_conc,log10_drug2_conc,p0,oops,p\n0,0,1,0,1\n")
+    assert _fit(plate_csv, tmp_path / "fit", "--truth", str(truth)) == 1
+    assert "header must be" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
+    import combofit.cli as cli
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "1", "--seed", "2", "--outdir", str(sim)]) == 0
+    outdir = tmp_path / "out"
+    assert _fit(sim / "plate.csv", outdir, "--truth", str(sim / "truth.csv")) == 0
+    before = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    assert set(before) == set(FIT_FILES) | {"mse.json"}
+
+    def failing_write_json(path, payload):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.cio, "write_json", failing_write_json)
+    with pytest.raises(OSError):
+        _fit(sim / "plate.csv", outdir, "--truth", str(sim / "truth.csv"), "--seed", "8")
+    after = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    assert after == before
+
+
+def test_fit_warns_on_stuck_blocks(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "3", "--noise", "normal", "--nrep", "3",
+                 "--seed", "1", "--outdir", str(sim)]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "fit"
+    assert main(["fit", "--input", str(sim / "plate.csv"), "--outdir", str(outdir),
+                 "--linear-scale", "natural", "--iters", "2000", "--seed", "1",
+                 "--fine-points", "20"]) == 0
+    err = capsys.readouterr().err
+    warnings = read_json(outdir / "summary.json")["warnings"]
+    stuck = {entry["block"] for entry in warnings}
+    assert stuck == {"gamma1", "gamma2"}
+    for entry in warnings:
+        assert entry["chain"] == 0
+        assert not 0.05 <= entry["acceptance"] <= 0.9
+        assert f"block {entry['block']} acceptance" in err
+    assert err.count("warning:") == len(warnings)
 
 
 # ---------------------------------------------------------------------------

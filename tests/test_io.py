@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combofit import SimScenario, SurfaceGrid, ValidationError, sample_plate
 from combofit.io import (PLATE_HEADER, ingest_plate, read_json,
                          read_samples_csv, read_surface_csv, read_truth_csv,
                          samples_header, write_json, write_plate_csv,
                          write_samples_csv, write_surface_csv, write_truth_csv)
+from combofit.model import COLUMN, DRAW_SCALARS, POSITIVE_SCALARS
 
 PLATE_2X2 = """drug1_conc,drug2_conc,replicate,viability
 1.0,0.0,1,0.55
@@ -158,14 +163,37 @@ def test_samples_round_trip_is_bit_exact(tmp_path, small_chain):
     path = tmp_path / "samples.csv"
     write_samples_csv(path, small_chain)
     back = read_samples_csv(path)
-    assert len(back) == len(small_chain)
-    for (chain_index, state), original in zip(back, small_chain.states):
-        assert chain_index == 0
-        for name in ("m1", "m2", "lambda1", "lambda2", "b1", "b2",
-                     "gamma0", "gamma1", "gamma2", "sigma2_eps"):
-            assert getattr(state, name) == getattr(original, name)
-        assert state.sigma2_phi == original.sigma2_phi
-        np.testing.assert_array_equal(state.C, original.C)
+    assert back.coeff_shape == (6, 6)
+    np.testing.assert_array_equal(back.chain, np.zeros(len(small_chain)))
+    np.testing.assert_array_equal(back.draws, small_chain.draws)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _draws(draw, n_cols):
+    rows = draw(st.integers(1, 4))
+    values = np.array([[draw(_FINITE) for _ in range(n_cols)] for _ in range(rows)])
+    for name in POSITIVE_SCALARS:
+        values[:, COLUMN[name]] = [draw(_POSITIVE) for _ in range(rows)]
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_draws(len(DRAW_SCALARS) + 36), min_size=1, max_size=3))
+def test_samples_write_read_write_is_byte_identical(tmp_path_factory, small_chain, blocks):
+    first, second = (tmp_path_factory.mktemp("samples") / "samples.csv" for _ in range(2))
+    write_samples_csv(first, [replace(small_chain, draws=block, chain_index=k)
+                              for k, block in enumerate(blocks)])
+    back = read_samples_csv(first)
+    np.testing.assert_array_equal(back.draws, np.concatenate(blocks))
+    bounds = np.cumsum([len(block) for block in blocks])[:-1]
+    write_samples_csv(second, [replace(small_chain, draws=block, chain_index=int(index[0]))
+                               for block, index in zip(np.split(back.draws, bounds),
+                                                       np.split(back.chain, bounds))])
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_samples_header_layout():
@@ -194,6 +222,21 @@ def test_samples_error_paths(tmp_path, small_chain):
     bad.write_text("chain,sample,m1\n0,0,0.1\n")
     with pytest.raises(ValidationError):
         read_samples_csv(bad)
+
+    def expect(column, text, fragment):
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = text
+        bad.write_text("\n".join([lines[0], lines[1], ",".join(cells)]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_samples_csv(bad)
+        assert "line 3" in str(err.value) and fragment in str(err.value)
+
+    expect("gamma1", "oops", "non-numeric gamma1")
+    expect("C_2_3", "inf", "C_2_3 must be finite")
+    expect("m2", "nan", "m2 must be finite")
+    expect("sigma2_gamma0", "0.0", "sigma2_gamma0 must be finite and positive")
+    expect("b2", "-1.5", "b2 must be finite and positive")
+    expect("chain", "x", "bad chain index")
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from scipy import stats
 
 from combofit import (AdaptiveState, ChainConfig, InitializationError,
                       InverseGammaPrior, PriorSpec, ValidationError,
-                      chain_from_states, initial_state, run_chain, run_chains,
+                      chain_from_draws, initial_state, run_chain, run_chains,
                       variance_posterior_params)
 from combofit.mcmc import BLOCK_NAMES, draw_inverse_gamma
-from combofit.model import mean_surface
+from combofit.model import DRAW_SCALARS, POSITIVE_SCALARS, mean_surface
 
 TINY = ChainConfig(n_iter=100, burn_in=50, thin=5, seed=3)
 
@@ -108,14 +108,34 @@ def test_running_covariance_matches_recomputed_history():
     ad = _adapter(3)
     for i, t in enumerate(history, start=1):
         ad.observe(t, 0.3, i)
-    np.testing.assert_allclose(ad.covariance(), np.cov(history.T, ddof=1),
-                               atol=1e-9)
+    # the proposal covariance is exp(log_s) * (running covariance + jitter I)
+    running = ad.chol @ ad.chol.T / math.exp(ad.log_s) - 1e-6 * np.eye(3)
+    np.testing.assert_allclose(running, np.cov(history.T, ddof=1), atol=1e-9)
     scalar = rng.normal(2.0, 0.7, 500)
     ad1 = _adapter(1)
     for i, t in enumerate(scalar, start=1):
         ad1.observe(float(t), 0.3, i)
-    assert ad1.covariance() == pytest.approx(float(np.var(scalar, ddof=1)),
-                                             abs=1e-9)
+    running1 = ad1.step_sd ** 2 / math.exp(ad1.log_s) - 1e-6
+    assert running1 == pytest.approx(float(np.var(scalar, ddof=1)), abs=1e-9)
+
+
+def test_two_dimensional_factor_matches_numpy_cholesky_bitwise():
+    # the 2 x 2 adapter factors in closed form; it must give the bits of
+    # np.linalg.cholesky on the same covariance, or chains would drift
+    rng = np.random.default_rng(5)
+    history = rng.normal(0.0, 1.0, size=(400, 2)) @ np.array([[0.9, 0.0], [0.6, 0.05]])
+    ad = _adapter(2, target=0.234)
+    for i, t in enumerate(history, start=1):
+        ad.observe(tuple(t.tolist()), float(rng.random()), i)
+        if ad.chol is None:
+            continue
+        n = ad.count
+        sum_t = np.array(ad.sum_t)
+        q00, q01, q11 = ad.sum_tt
+        sum_tt = np.array([[q00, q01], [q01, q11]])
+        xi = math.exp(ad.log_s) * ((sum_tt - np.outer(sum_t, sum_t) / n) / (n - 1)
+                                   + 1e-6 * np.eye(2))
+        np.testing.assert_array_equal(ad.chol, np.linalg.cholesky(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +187,9 @@ def test_chain_bookkeeping_shapes(small_plate):
     assert chain.obs_log_densities.shape == (10, 40)
     assert chain.scalar_series("m1").shape == (10,)
     assert chain.coefficient_series().shape == (10, 6, 6)
+    assert chain.draws.shape == (10, len(DRAW_SCALARS) + 36)
+    np.testing.assert_array_equal(chain.coefficient_series()[3].ravel(),
+                                  chain.draws[3, len(DRAW_SCALARS):])
     assert chain.chain_index == 0
     np.testing.assert_array_equal(chain.p, chain.p0 + chain.delta)
     with pytest.raises(ValidationError):
@@ -189,11 +212,9 @@ def test_chain_index_changes_the_stream(small_plate):
 
 
 def test_retained_states_respect_constraints(small_chain):
-    for state in small_chain.states:
-        assert state.lambda1 > 0.0 and state.lambda2 > 0.0
-        assert state.b1 > 0.0 and state.b2 > 0.0
-        assert state.sigma2_eps > 0.0
-        assert all(v > 0.0 for v in state.sigma2_phi.values())
+    for name in POSITIVE_SCALARS:
+        assert (small_chain.scalar_series(name) > 0.0).all()
+    assert np.isfinite(small_chain.draws).all()
     assert (small_chain.p > 0.0).all()
     assert (small_chain.p < 1.0).all()
 
@@ -258,8 +279,8 @@ def test_initialization_error_on_degenerate_start(small_plate, small_grid,
 # Reconstruction and multi-chain helpers
 
 
-def test_chain_from_states_reproduces_surfaces(small_plate, small_chain):
-    rebuilt = chain_from_states(small_plate, small_chain.states)
+def test_chain_from_draws_reproduces_surfaces(small_plate, small_chain):
+    rebuilt = chain_from_draws(small_plate, small_chain.draws)
     assert len(rebuilt) == len(small_chain)
     np.testing.assert_allclose(rebuilt.p0, small_chain.p0, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(rebuilt.delta, small_chain.delta,
@@ -268,7 +289,18 @@ def test_chain_from_states_reproduces_surfaces(small_plate, small_chain):
                                small_chain.obs_log_densities,
                                rtol=1e-9, atol=1e-9)
     with pytest.raises(ValidationError):
-        chain_from_states(small_plate, [])
+        chain_from_draws(small_plate, small_chain.draws[:0])
+
+
+def test_prior_only_chain_stores_the_surfaces_of_its_draws(small_plate):
+    # without a likelihood the sampler skips the grid and builds p0 and
+    # Delta only for the retained draws
+    chain = run_chain(small_plate, config=replace(TINY, adapt_start=20),
+                      prior_only=True)
+    assert chain.obs_log_densities.shape == (10, 0)
+    rebuilt = chain_from_draws(small_plate, chain.draws)
+    np.testing.assert_allclose(chain.p0, rebuilt.p0, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(chain.delta, rebuilt.delta, rtol=1e-9, atol=1e-12)
 
 
 def test_run_chains_indexes_streams(small_plate):

@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from combofit import (GammaPrior, HalfCauchyPrior, InverseGammaPrior,
-                      PriorSpec, ValidationError, initial_state, link_g,
-                      log_likelihood, log_logistic_2ll, log_prior)
-from combofit.model import (PHI_NAMES, interaction_surface, linear_axes,
-                            link_g_grad, matrix_normal_log_density, mean_surface,
+                      ParameterState, PriorSpec, SimScenario, SplineSpec,
+                      ValidationError, initial_state, link_g, log_likelihood,
+                      log_logistic_2ll, log_prior, reference_grid, sample_plate)
+from combofit.model import (COLUMN, LINEAR_SCALES, PHI_NAMES, SurfaceDesign,
+                            interaction_surface, linear_axes,
+                            matrix_normal_log_density, mean_surface,
                             normal_log_density, observation_log_densities,
-                            zero_interaction_surface)
+                            summed_mean_surface, surfaces, zero_interaction_surface)
 from combofit.splines import penalty_precision
 
 
@@ -91,18 +95,6 @@ def test_link_monotone_in_predictor():
     assert (np.diff(g) > 0.0).all()
 
 
-def test_link_grad_matches_finite_differences():
-    rng = np.random.default_rng(29)
-    b_pred = rng.uniform(-5.0, 5.0, 100)
-    p0 = rng.uniform(0.05, 0.95, 100)
-    b1, b2 = 0.8, 1.7
-    h = 1e-6
-    numeric = (link_g(b_pred + h, p0, b1, b2) - link_g(b_pred - h, p0, b1, b2)) / (2 * h)
-    analytic = link_g_grad(b_pred, p0, b1, b2)
-    np.testing.assert_allclose(analytic, numeric, rtol=1e-4)
-    assert (analytic > 0.0).all()
-
-
 def test_link_rejects_bad_slopes():
     with pytest.raises(ValidationError):
         link_g(0.0, 0.5, -1.0, 1.0)
@@ -151,6 +143,85 @@ def test_linear_axes_scales(small_grid):
     np.testing.assert_allclose(n2, 10.0 ** small_grid.logc2)
     with pytest.raises(ValidationError):
         linear_axes(small_grid, "sqrt")
+
+
+# ---------------------------------------------------------------------------
+# Surfaces of every row of a draws array
+
+GRID = reference_grid()
+
+
+def _draw_row(state):
+    return np.array([state.m1, state.m2, state.lambda1, state.lambda2, state.b1, state.b2,
+                     state.gamma0, state.gamma1, state.gamma2,
+                     *(state.sigma2_phi[name] for name in PHI_NAMES), state.sigma2_eps,
+                     *state.C.ravel()])
+
+
+@st.composite
+def _posterior(draw):
+    """Random states, spline layout and linear scale on the reference grid.
+
+    Under the natural scale the linear terms multiply concentrations up to
+    3e5, so gamma1 and gamma2 are drawn on the scale of 1 / max concentration,
+    where fitted values lie and a 1e-12 tolerance is meaningful.
+    """
+    degree = draw(st.sampled_from((2, 3)))
+    k1, k2 = draw(st.integers(degree + 1, 8)), draw(st.integers(degree + 1, 8))
+    spline = SplineSpec.for_grid(GRID, k1=k1, k2=k2, degree=degree)
+    scale = draw(st.sampled_from(LINEAR_SCALES))
+    u_max = 1.0 if scale == "log10" else 10.0 ** max(GRID.logc1[-1], GRID.logc2[-1])
+    real = st.floats(-3.0, 3.0)
+    positive = st.floats(0.05, 5.0)
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        states.append(ParameterState(
+            m1=draw(real), m2=draw(real), lambda1=draw(positive), lambda2=draw(positive),
+            b1=draw(positive), b2=draw(positive), gamma0=draw(real),
+            gamma1=draw(real) / u_max, gamma2=draw(real) / u_max,
+            C=np.array([[draw(real) for _ in range(k2)] for _ in range(k1)]),
+            sigma2_phi={name: draw(positive) for name in PHI_NAMES},
+            sigma2_eps=draw(st.floats(1e-3, 1.0))))
+    return states, spline, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_posterior())
+def test_batched_surfaces_match_per_state_surfaces(posterior):
+    states, spline, scale = posterior
+    draws = np.stack([_draw_row(state) for state in states])
+    p0, delta = surfaces(draws, SurfaceDesign.on_grid(GRID, spline, scale))
+    for k, state in enumerate(states):
+        np.testing.assert_allclose(p0[k], zero_interaction_surface(GRID, state).values,
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            delta[k], interaction_surface(GRID, state, spline, scale).values,
+            rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_posterior())
+def test_batched_log_densities_and_fine_sum_match_per_draw(posterior):
+    states, spline, scale = posterior
+    data, _ = sample_plate(SimScenario(3, seed=4))
+    draws = np.stack([_draw_row(state) for state in states])
+    p0, delta = surfaces(draws, SurfaceDesign.on_grid(GRID, spline, scale))
+    ld = observation_log_densities(data, p0 + delta, draws[:, COLUMN["sigma2_eps"]])
+    for k, state in enumerate(states):
+        expected = observation_log_densities(data, p0[k] + delta[k], state.sigma2_eps)
+        np.testing.assert_allclose(ld[k], expected, rtol=1e-14, atol=0.0)
+    # fused link identity p0 + g(B) = p0 s(b1 B) + (1 - p0) s(b2 B), unmasked
+    ax1, ax2 = np.linspace(-4.0, 5.0, 17), np.linspace(-3.5, 5.5, 13)
+    design = SurfaceDesign.on_axes(ax1, ax2, spline, scale)
+    p0_fine, g_fine = surfaces(draws, design)
+    np.testing.assert_allclose(summed_mean_surface(draws, design),
+                               (p0_fine + g_fine).sum(axis=0), rtol=0.0, atol=1e-12)
+
+
+def test_batched_surfaces_reject_wrong_coefficient_count(small_grid, small_spline):
+    draws = _draw_row(initial_state(small_grid, small_spline))[None, :-1]
+    with pytest.raises(ValidationError):
+        surfaces(draws, SurfaceDesign.on_grid(small_grid, small_spline))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from combofit import (SurfaceGrid, ValidationError, bi_ec50,
-                      combination_columns, dss, fine_mean_surface, lpml,
-                      mse_surface, reference_grid, rvus, summarize_chains)
+                      combination_columns, dss, fine_mean_surface,
+                      log_logistic_2ll, lpml, mse_surface, reference_grid, rvus,
+                      summarize_chains)
+from combofit.summaries import dss_scores, mean_heights
 
 
 def _surface(values, axis1=None, axis2=None):
@@ -55,9 +59,22 @@ def test_dss_matches_closed_form_integral():
     auc = antideriv(hi) - antideriv(x_t)
     width = hi - lo
     expected = 100.0 * max(0.0, auc - t * width) / ((1.0 - t) * width)
-    assert dss(m, lam, (lo, hi), t, n_points=200001) == pytest.approx(
-        expected, abs=1e-8)
-    assert dss(m, lam, (lo, hi), t) == pytest.approx(expected, abs=1e-3)
+    assert dss(m, lam, (lo, hi), t) == pytest.approx(expected, abs=1e-12)
+    x = np.linspace(x_t, hi, 200_001)
+    trapezoid = float(np.trapezoid(1.0 - log_logistic_2ll(x, m, lam), x))
+    quadrature = 100.0 * max(0.0, trapezoid - t * width) / ((1.0 - t) * width)
+    assert dss(m, lam, (lo, hi), t) == pytest.approx(quadrature, abs=1e-8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(0.02, 8.0)),
+                min_size=1, max_size=6),
+       st.floats(0.01, 0.99))
+def test_dss_scores_match_scalar_dss(curves, threshold):
+    m, lam = np.array(curves).T
+    scores = dss_scores(m, lam, -3.0, 4.0, threshold)
+    expected = [dss(mi, li, (-3.0, 4.0), threshold) for mi, li in curves]
+    np.testing.assert_allclose(scores, expected, rtol=1e-14, atol=1e-12)
 
 
 def test_dss_shift_invariance():
@@ -124,6 +141,19 @@ def test_rvus_sign_decomposition():
     plus = rvus(_surface(np.abs(np.minimum(delta, 0.0))), 0.0, bound)
     minus = rvus(_surface(np.maximum(delta, 0.0)), 0.0, bound)
     assert plus + minus == pytest.approx(total, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_batched_rvus_matches_scalar_rvus(n1, n2, n_surfaces, seed):
+    rng = np.random.default_rng(seed)
+    axis1 = np.cumsum(rng.uniform(0.1, 2.0, n1))
+    axis2 = np.cumsum(rng.uniform(0.1, 2.0, n2))
+    values = rng.uniform(0.0, 1.0, (n_surfaces, n1, n2))
+    batched = mean_heights(values, axis1, axis2)
+    for k in range(n_surfaces):
+        assert batched[k] == pytest.approx(
+            rvus(_surface(values[k], axis1, axis2), 0.0, 1.0), rel=1e-14, abs=1e-15)
 
 
 def test_rvus_validation():
@@ -273,6 +303,52 @@ def test_summarize_chains_lpml_uses_combination_cells(small_chain):
                                small_chain.obs_log_densities.shape[1])
     expected = lpml(small_chain.obs_log_densities[:, mask])
     assert report.lpml == pytest.approx(expected, abs=1e-12)
+
+
+def test_summarize_chains_scores_match_per_draw_loop(small_chain):
+    grid = small_chain.grid
+    ranges = {"drug1": (grid.logc1[1], grid.logc1[-1]), "drug2": (grid.logc2[1], grid.logc2[-1])}
+    expected = {key: [] for key in ("p0", "abs_delta", "delta_plus", "delta_minus",
+                                    "one_minus_p", "drug1", "drug2")}
+    for p0, delta, m1, lam1, m2, lam2 in zip(
+            small_chain.p0, small_chain.delta, *(small_chain.scalar_series(name) for name in
+                                                 ("m1", "lambda1", "m2", "lambda2"))):
+        bound = float(np.max(np.maximum(p0, 1.0 - p0)))
+        ax = (grid.logc1, grid.logc2)
+        for key, values, upper in (("p0", p0, 1.0), ("abs_delta", np.abs(delta), bound),
+                                   ("delta_plus", np.abs(np.minimum(delta, 0.0)), bound),
+                                   ("delta_minus", np.maximum(delta, 0.0), bound),
+                                   ("one_minus_p", 1.0 - (p0 + delta), 1.0)):
+            expected[key].append(rvus(_surface(values, *ax), 0.0, upper))
+        expected["drug1"].append(dss(m1, lam1, ranges["drug1"]))
+        expected["drug2"].append(dss(m2, lam2, ranges["drug2"]))
+    report = summarize_chains(small_chain, fine_points=25)
+    for key, values in expected.items():
+        got = report.dss[key] if key.startswith("drug") else report.rvus[key]
+        assert got["mean"] == pytest.approx(np.mean(values), rel=1e-12, abs=1e-15)
+        assert got["median"] == pytest.approx(np.median(values), rel=1e-12, abs=1e-15)
+
+
+def test_summarize_chains_pools_chains_without_stacking(small_chain):
+    from dataclasses import replace
+
+    half = len(small_chain) // 2
+    parts = [replace(small_chain, draws=small_chain.draws[rows], p0=small_chain.p0[rows],
+                     delta=small_chain.delta[rows],
+                     obs_log_densities=small_chain.obs_log_densities[rows])
+             for rows in (slice(0, half), slice(half, None))]
+    whole = summarize_chains(small_chain, fine_points=25)
+    pooled = summarize_chains(parts, fine_points=25)
+    assert pooled.n_samples == whole.n_samples
+    assert pooled.lpml == pytest.approx(whole.lpml, rel=1e-13)
+    for group in ("dss", "rvus"):
+        for key, stats_block in getattr(whole, group).items():
+            for stat, value in stats_block.items():
+                assert getattr(pooled, group)[key][stat] == pytest.approx(
+                    value, rel=1e-13, abs=1e-15)
+    np.testing.assert_array_equal(pooled.bi_ec50_points, whole.bi_ec50_points)
+    np.testing.assert_allclose(pooled.posterior_mean["p"], whole.posterior_mean["p"],
+                               rtol=0.0, atol=1e-15)
 
 
 def test_summarize_chains_label_swap(small_chain):
