@@ -115,9 +115,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_outdir(flag_value) -> Path:
-    outdir = flag_value or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, created if missing; every command resolves it
+    before it reads or computes anything."""
+    path = Path(flag_value or os.environ.get(OUTDIR_ENV) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use output directory {path}: {exc}") from None
     return path
 
 
@@ -248,10 +252,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _surface_from_values(values, grid: LogConcGrid, label: str) -> SurfaceGrid:
-    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label=label)
-
-
 def _check_truth_axes(truth: dict, grid: LogConcGrid):
     delta = truth["delta"]
     if (delta.axis1.size != grid.logc1.size or delta.axis2.size != grid.logc2.size
@@ -278,6 +278,7 @@ def _summarize(chains, run_cfg: RunConfig):
 
 
 def _cmd_fit(args) -> int:
+    outdir = _resolve_outdir(args.outdir)
     run_cfg, data, grid, spline = _setup(args)
     truth = None
     if args.truth:
@@ -290,17 +291,15 @@ def _cmd_fit(args) -> int:
     lo, hi = ACCEPTANCE_RANGE
     for warning in report.warnings:
         print(f"warning: chain {warning['chain']} block {warning['block']} acceptance "
-              f"{warning['acceptance']:.3f} outside [{lo}, {hi}]", file=sys.stderr)
+              f"{warning['acceptance']:.3f} after burn-in outside [{lo}, {hi}]",
+              file=sys.stderr)
 
-    with _OutputSet(_resolve_outdir(args.outdir)) as out:
+    with _OutputSet(outdir) as out:
         cio.write_samples_csv(out.path("samples.csv"), chains)
         mean = report.posterior_mean
-        cio.write_surface_csv(out.path("surface_p.csv"),
-                              _surface_from_values(mean["p"], grid, "p_mean"))
-        cio.write_surface_csv(out.path("surface_p0.csv"),
-                              _surface_from_values(mean["p0"], grid, "p0_mean"))
-        cio.write_surface_csv(out.path("surface_delta.csv"),
-                              _surface_from_values(mean["delta"], grid, "delta_mean"))
+        for key in ("p", "p0", "delta"):
+            cio.write_surface_csv(out.path(f"surface_{key}.csv"), SurfaceGrid(
+                values=mean[key], axis1=grid.logc1, axis2=grid.logc2, label=f"{key}_mean"))
         payload = {"config": run_cfg.to_json_dict(),
                    "input": str(args.input),
                    "drug_names": list(data.drug_names),
@@ -309,24 +308,24 @@ def _cmd_fit(args) -> int:
         cio.write_json(out.path("summary.json"), payload)
         if truth is not None:
             cio.write_json(out.path("mse.json"), {
-                "mse_delta": mse_surface(mean["delta"], truth["delta"].values),
-                "mse_p0": mse_surface(mean["p0"], truth["p0"].values),
-                "mse_p": mse_surface(mean["p"], truth["p"].values),
-            })
+                f"mse_{key}": mse_surface(mean[key], truth[key].values)
+                for key in ("delta", "p0", "p")})
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    outdir = _resolve_outdir(args.outdir)
     scenario = SimScenario(interaction_id=args.scenario, noise=args.noise,
                            n_rep=args.nrep, sigma_eps=args.sigma_eps, seed=args.seed)
     data, truths = sample_plate(scenario)
-    with _OutputSet(_resolve_outdir(args.outdir)) as out:
+    with _OutputSet(outdir) as out:
         cio.write_plate_csv(out.path("plate.csv"), data)
         cio.write_truth_csv(out.path("truth.csv"), truths)
     return 0
 
 
 def _cmd_summarize(args) -> int:
+    outdir = _resolve_outdir(args.outdir)
     run_cfg, data, grid, spline = _setup(args)
     samples = cio.read_samples_csv(args.samples)
     if samples.coeff_shape != (spline.k1, spline.k2):
@@ -337,7 +336,7 @@ def _cmd_summarize(args) -> int:
                                linear_scale=run_cfg.linear_scale, chain_index=int(index))
               for index in np.unique(samples.chain)]
     report = _summarize(chains, run_cfg)
-    with _OutputSet(_resolve_outdir(args.outdir)) as out:
+    with _OutputSet(outdir) as out:
         payload = {"input": str(args.input), "samples": str(args.samples)}
         payload.update(report.to_json_dict())
         cio.write_json(out.path("summary.json"), payload)
@@ -345,6 +344,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    outdir = _resolve_outdir(args.outdir)
     methods = args.method or list(BASELINE_METHODS)
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
@@ -352,7 +352,7 @@ def _cmd_baseline(args) -> int:
     if args.truth:
         truth = cio.read_truth_csv(args.truth)
         _check_truth_axes(truth, grid)
-    with _OutputSet(_resolve_outdir(args.outdir)) as out:
+    with _OutputSet(outdir) as out:
         summary = {}
         for method in methods:
             delta_hat, surface, info = baseline_delta(data, method, grid)

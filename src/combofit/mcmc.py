@@ -19,8 +19,8 @@ from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import InitializationError, ValidationError
 from .model import (COLUMN, EXP_CLAMP, N_SCALARS, PHI_NAMES, HalfCauchyPrior,
                     InverseGammaPrior, ParameterState, PriorSpec, SurfaceDesign,
-                    curve_values, initial_state, linear_axes, link_values,
-                    log_prior, observation_log_densities, surfaces)
+                    curve_values, initial_state, linear_axes, log_prior,
+                    observation_log_densities, surfaces)
 from .splines import SplineSpec, basis_matrix, penalty_precision
 
 BLOCK_NAMES = (
@@ -30,8 +30,8 @@ BLOCK_NAMES = (
     "sigma2_eps",
 )
 
-# Draws per block when chain_from_draws evaluates surfaces; bounds the
-# temporaries at a few hundred kB on a plate-sized grid.
+# Draws per block when a chain's surfaces are derived from its draws; bounds
+# the temporaries at a few hundred kB on a plate-sized grid.
 _REBUILD_BLOCK = 128
 
 _VARIANCE_BLOCKS = {
@@ -222,30 +222,44 @@ def draw_inverse_gamma(rng, shape: float, rate: float) -> float:
 
 @dataclass
 class PosteriorChain:
-    """Retained draws of one chain plus the per-draw surfaces.
+    """Retained draws of one chain, the whole stored posterior, and the plate
+    whose likelihood it targeted (data; None for a prior-only chain).
 
     draws has one row per retained draw, in model.DRAW_SCALARS order followed
-    by the spline coefficients C in row-major order.
+    by the spline coefficients C in row-major order; blocks derives surfaces
+    and log densities from it. Acceptance rates are per block, over the whole
+    run and after burn-in.
     """
 
     draws: np.ndarray
-    p0: np.ndarray
-    delta: np.ndarray
-    obs_log_densities: np.ndarray
     accept_rates: dict
+    accept_rates_after_burn_in: dict
     config: ChainConfig
     chain_index: int
     grid: LogConcGrid
     spline: SplineSpec
     priors: PriorSpec
     linear_scale: str
+    data: PlateDataset
 
     def __len__(self):
         return self.draws.shape[0]
 
-    @property
-    def p(self) -> np.ndarray:
-        return self.p0 + self.delta
+    def row_blocks(self):
+        """Successive blocks of at most _REBUILD_BLOCK rows of draws."""
+        return (self.draws[start:start + _REBUILD_BLOCK]
+                for start in range(0, len(self), _REBUILD_BLOCK))
+
+    def blocks(self):
+        """(rows, p0, delta, log densities) per block of row_blocks, from the
+        model's kernels; the log densities have one column per raveled
+        (i, j, replicate) observation, none without data."""
+        design = SurfaceDesign.on_grid(self.grid, self.spline, self.linear_scale)
+        for rows in self.row_blocks():
+            p0, delta = surfaces(rows, design)
+            ld = np.empty(0) if self.data is None else observation_log_densities(
+                self.data, p0 + delta, rows[:, COLUMN["sigma2_eps"]])
+            yield rows, p0, delta, ld.reshape(len(rows), -1)
 
     def scalar_series(self, name: str) -> np.ndarray:
         if name not in COLUMN:
@@ -256,7 +270,8 @@ class PosteriorChain:
         return self.draws[:, N_SCALARS:].reshape(len(self), self.spline.k1, self.spline.k2)
 
     def posterior_mean_delta(self) -> SurfaceGrid:
-        return SurfaceGrid(values=self.delta.mean(axis=0), axis1=self.grid.logc1,
+        total = sum(delta.sum(axis=0) for _, _, delta, _ in self.blocks())
+        return SurfaceGrid(values=total / len(self), axis1=self.grid.logc1,
                            axis2=self.grid.logc2, label="delta_mean")
 
 
@@ -266,6 +281,7 @@ class _Sampler:
     def __init__(self, data, priors, spline, config, linear_scale, update_blocks,
                  prior_only, initial, chain_index):
         grid = LogConcGrid.from_dataset(data)
+        self.data = None if prior_only else data
         self.grid = grid
         self.spline = spline
         self.priors = priors
@@ -282,18 +298,11 @@ class _Sampler:
         self.prec1 = penalty_precision(spline.k1, spline.penalty_ridge)
         self.prec2 = penalty_precision(spline.k2, spline.penalty_ridge)
 
-        if prior_only:
-            self.y = None
-            self.n_rep = 0
-            self.n_obs = 0
-            self.s1 = np.zeros(grid.shape)
-            self.s2_total = 0.0
-        else:
-            self.y = data.viability
-            self.n_rep = data.n_rep
-            self.n_obs = data.n_obs
-            self.s1 = self.y.sum(axis=2)
-            self.s2_total = float(np.vdot(self.y, self.y))
+        # the sums of the data enter only the sum of squares, which a chain
+        # without a likelihood does not compute
+        self.n_obs = 0 if prior_only else data.n_obs
+        y = data.viability
+        self.n_rep, self.s1, self.s2_total = data.n_rep, y.sum(axis=2), float(np.vdot(y, y))
 
         if update_blocks is None:
             self.active = set(BLOCK_NAMES)
@@ -327,7 +336,7 @@ class _Sampler:
         self.slopes = self._slopes(self.b1, self.b2)
         self.link_parts = self._link_parts(self.bpred, self.slopes)
         self.quad = float(np.sum(self.prec2 * (self.C.T @ self.prec1 @ self.C)))
-        self.delta, self.p, self.ss = self._fit(self.p0_parts, self.link_parts)
+        self.delta, self.ss = self._fit(self.p0_parts, self.link_parts)
 
         start_ll = self._loglik(self.ss, self.s2eps)
         start_lp = log_prior(start, priors, spline)
@@ -395,24 +404,16 @@ class _Sampler:
         return d
 
     def _fit(self, p0_parts, link_parts):
-        """Delta, p = p0 + Delta and the residual sum of squares of the plate."""
+        """Delta and the residual sum of squares of the plate under p0 + Delta."""
         if not self.likelihood:
-            return None, None, 0.0
+            return None, 0.0
         p0, numerators = p0_parts
         terms = numerators / link_parts
         delta = np.add(terms[0], terms[1], out=terms[0])
         delta *= self.mask
         p = p0 + delta
         ss = self.n_rep * float(np.vdot(p, p)) - 2.0 * float(np.vdot(p, self.s1)) + self.s2_total
-        return delta, p, ss
-
-    def _surfaces(self):
-        """p0 and Delta of the current state."""
-        if self.likelihood:
-            return self.p0_parts[0], self.delta
-        p0 = np.outer(curve_values(self.grid.logc1, self.m1, self.lam1),
-                      curve_values(self.grid.logc2, self.m2, self.lam2))
-        return p0, link_values(self.bpred, p0, self.b1, self.b2) * self.mask
+        return delta, ss
 
     def _loglik(self, ss, s2eps):
         if self.n_obs == 0:
@@ -440,7 +441,7 @@ class _Sampler:
         else:
             f1c, f2c = self.f1, self._curve(self.grid.logc2, cand, self.lam2)
         p0c = self._p0_parts(f1c, f2c)
-        deltac, pc, ssc = self._fit(p0c, self.link_parts)
+        deltac, ssc = self._fit(p0c, self.link_parts)
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  - (cand * cand - cur * cur) / (2.0 * self.s2phi[name]))
         a, ok = self._decide(log_a)
@@ -452,7 +453,7 @@ class _Sampler:
             else:
                 self.m2 = cand
             self.f1, self.f2 = f1c, f2c
-            self.p0_parts, self.delta, self.p, self.ss = p0c, deltac, pc, ssc
+            self.p0_parts, self.delta, self.ss = p0c, deltac, ssc
         ad.observe(self.m1 if first else self.m2, a, iteration)
 
     def _update_lambda(self, name, iteration):
@@ -472,7 +473,7 @@ class _Sampler:
         else:
             f1c, f2c = self.f1, self._curve(self.grid.logc2, self.m2, cand)
         p0c = self._p0_parts(f1c, f2c)
-        deltac, pc, ssc = self._fit(p0c, self.link_parts)
+        deltac, ssc = self._fit(p0c, self.link_parts)
         # Gamma prior and the log-transform Jacobian combine into
         # (cand/cur)^shape * exp(-rate * (cand - cur)).
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
@@ -485,7 +486,7 @@ class _Sampler:
             else:
                 self.lam2 = cand
             self.f1, self.f2 = f1c, f2c
-            self.p0_parts, self.delta, self.p, self.ss = p0c, deltac, pc, ssc
+            self.p0_parts, self.delta, self.ss = p0c, deltac, ssc
         ad.observe(math.log(cur if not ok else cand), a, iteration)
 
     def _update_b(self, iteration):
@@ -500,7 +501,7 @@ class _Sampler:
             return
         slopesc = self._slopes(b1c, b2c)
         linkc = self._link_parts(self.bpred, slopesc)
-        deltac, pc, ssc = self._fit(self.p0_parts, linkc)
+        deltac, ssc = self._fit(self.p0_parts, linkc)
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  + self.priors.b1.shape * (tc[0] - t[0])
                  - self.priors.b1.rate * (b1c - self.b1)
@@ -511,7 +512,7 @@ class _Sampler:
             self.accepted["b"] += 1
             self.b1, self.b2 = b1c, b2c
             self.slopes, self.link_parts = slopesc, linkc
-            self.delta, self.p, self.ss = deltac, pc, ssc
+            self.delta, self.ss = deltac, ssc
             ad.observe(tc, a, iteration)
         else:
             ad.observe(t, a, iteration)
@@ -529,7 +530,7 @@ class _Sampler:
         else:
             bpredc = self.bpred + step * self.u2_row
         linkc = self._link_parts(bpredc, self.slopes)
-        deltac, pc, ssc = self._fit(self.p0_parts, linkc)
+        deltac, ssc = self._fit(self.p0_parts, linkc)
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  - (cand * cand - cur * cur) / (2.0 * self.s2phi[name]))
         a, ok = self._decide(log_a)
@@ -543,7 +544,7 @@ class _Sampler:
             else:
                 self.g2 = cand
             self.bpred, self.link_parts = bpredc, linkc
-            self.delta, self.p, self.ss = deltac, pc, ssc
+            self.delta, self.ss = deltac, ssc
         ad.observe((self.g0, self.g1, self.g2)[idx], a, iteration)
 
     def _update_C(self, iteration):
@@ -554,7 +555,7 @@ class _Sampler:
         dspl = self.basis1 @ dC @ self.basis2.T
         bpredc = self.bpred + dspl
         linkc = self._link_parts(bpredc, self.slopes)
-        deltac, pc, ssc = self._fit(self.p0_parts, linkc)
+        deltac, ssc = self._fit(self.p0_parts, linkc)
         quadc = float((self.prec2 * (Cc.T @ self.prec1 @ Cc)).sum())
         log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
                  - 0.5 * (quadc - self.quad))
@@ -565,7 +566,7 @@ class _Sampler:
             self.C = Cc
             self.bpred, self.link_parts = bpredc, linkc
             self.quad = quadc
-            self.delta, self.p, self.ss = deltac, pc, ssc
+            self.delta, self.ss = deltac, ssc
         ad.observe(self.C.ravel(), a, iteration)
 
     def _update_sigma_phi(self, block, iteration):
@@ -630,12 +631,7 @@ class _Sampler:
 
     def run(self) -> PosteriorChain:
         cfg = self.config
-        n_keep = cfg.n_retained
-        kept_draws = np.empty((n_keep, N_SCALARS + self.C.size))
-        kept_p0 = np.empty((n_keep, *self.grid.shape))
-        kept_delta = np.empty((n_keep, *self.grid.shape))
-        kept_ld = np.empty((n_keep, self.n_obs))
-        kept = 0
+        draws = np.empty((cfg.n_retained, N_SCALARS + self.C.size))
         updates = {
             "b": self._update_b, "C": self._update_C, "sigma2_eps": self._update_sigma_eps,
             **{name: partial(self._update_m, name) for name in ("m1", "m2")},
@@ -644,24 +640,32 @@ class _Sampler:
             **{name: partial(self._update_sigma_phi, name) for name in _VARIANCE_BLOCKS},
         }
         sweep = [updates[name] for name in BLOCK_NAMES if name in self.active]
-        for g in range(1, cfg.n_iter + 1):
+        for g in range(1, cfg.burn_in + 1):
             for update in sweep:
                 update(g)
-            if g > cfg.burn_in and (g - cfg.burn_in) % cfg.thin == 0 and kept < n_keep:
-                self._store_draw(kept_draws[kept])
-                kept_p0[kept], kept_delta[kept] = self._surfaces()
-                if self.n_obs:
-                    resid = self.y - self.p[:, :, None]
-                    kept_ld[kept] = (-0.5 * math.log(2.0 * math.pi * self.s2eps)
-                                     - resid.ravel() ** 2 / (2.0 * self.s2eps))
-                kept += 1
-        rates = {name: (self.accepted[name] / self.proposed[name] if self.proposed[name] else 0.0)
-                 for name in self.adapters}
+        at_burn_in = self._counts()
+        for g in range(cfg.burn_in + 1, cfg.n_iter + 1):
+            for update in sweep:
+                update(g)
+            kept, rest = divmod(g - cfg.burn_in, cfg.thin)
+            if rest == 0:
+                self._store_draw(draws[kept - 1])
+        counts = self._counts()
+        after = {name: (a - at_burn_in[name][0], n - at_burn_in[name][1])
+                 for name, (a, n) in counts.items()}
         return PosteriorChain(
-            draws=kept_draws, p0=kept_p0, delta=kept_delta, obs_log_densities=kept_ld,
-            accept_rates=rates, config=cfg, chain_index=self.chain_index,
-            grid=self.grid, spline=self.spline, priors=self.priors,
-            linear_scale=self.linear_scale)
+            draws=draws, accept_rates=_rates(counts), accept_rates_after_burn_in=_rates(after),
+            config=cfg, chain_index=self.chain_index, grid=self.grid, spline=self.spline,
+            priors=self.priors, linear_scale=self.linear_scale, data=self.data)
+
+    def _counts(self):
+        """(accepted, proposed) of every adapted block so far."""
+        return {name: (self.accepted[name], self.proposed[name]) for name in self.adapters}
+
+
+def _rates(counts):
+    return {name: accepted / proposed if proposed else 0.0
+            for name, (accepted, proposed) in counts.items()}
 
 
 def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec = None,
@@ -688,12 +692,8 @@ def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec =
 def chain_from_draws(data: PlateDataset, draws: np.ndarray, spline: SplineSpec = None,
                      priors: PriorSpec = None, linear_scale: str = "log10",
                      config: ChainConfig = None, chain_index: int = 0) -> PosteriorChain:
-    """Rebuild a PosteriorChain from a stored draws array.
-
-    The per-draw surfaces and observation log densities are recomputed from
-    the model, a block of draws at a time, so summaries derived from a
-    samples file match the original run to floating-point roundoff.
-    """
+    """A PosteriorChain of stored draws of a fit to data, such as the rows of
+    one chain of a samples file; it has no acceptance rates."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 1:
         raise ValidationError("need a (draws, columns) array with at least one draw")
@@ -701,22 +701,11 @@ def chain_from_draws(data: PlateDataset, draws: np.ndarray, spline: SplineSpec =
     priors = PriorSpec() if priors is None else priors
     if spline is None:
         spline = SplineSpec.for_grid(grid, penalty_ridge=priors.spline_penalty_ridge)
-    design = SurfaceDesign.on_grid(grid, spline, linear_scale)
-    n = draws.shape[0]
-    p0 = np.empty((n, *grid.shape))
-    delta = np.empty((n, *grid.shape))
-    obs_ld = np.empty((n, data.n_obs))
-    for start in range(0, n, _REBUILD_BLOCK):
-        rows = slice(start, start + _REBUILD_BLOCK)
-        p0[rows], delta[rows] = surfaces(draws[rows], design)
-        obs_ld[rows] = observation_log_densities(
-            data, p0[rows] + delta[rows], draws[rows, COLUMN["sigma2_eps"]]).reshape(-1, data.n_obs)
     if config is None:
-        config = ChainConfig(n_iter=n, burn_in=0, thin=1)
-    return PosteriorChain(draws=draws, p0=p0, delta=delta,
-                          obs_log_densities=obs_ld, accept_rates={}, config=config,
-                          chain_index=chain_index, grid=grid, spline=spline,
-                          priors=priors, linear_scale=linear_scale)
+        config = ChainConfig(n_iter=draws.shape[0], burn_in=0, thin=1)
+    return PosteriorChain(draws=draws, accept_rates={}, accept_rates_after_burn_in={},
+                          config=config, chain_index=chain_index, grid=grid, spline=spline,
+                          priors=priors, linear_scale=linear_scale, data=data)
 
 
 def run_chains(data: PlateDataset, n_chains: int, priors: PriorSpec = None,

@@ -251,23 +251,16 @@ def linear_axes(grid: LogConcGrid, linear_scale: str = "log10"):
     return _linear_axis(grid.logc1, linear_scale), _linear_axis(grid.logc2, linear_scale)
 
 
-def interaction_predictor(grid: LogConcGrid, state: ParameterState, spline: SplineSpec,
-                          linear_scale: str = "log10") -> np.ndarray:
-    """Latent surface B_ij = gamma0 + gamma1 u1_i + gamma2 u2_j + spline part."""
-    u1, u2 = linear_axes(grid, linear_scale)
-    basis1 = basis_matrix(grid.logc1, spline.knots1, spline.degree)
-    basis2 = basis_matrix(grid.logc2, spline.knots2, spline.degree)
-    return (state.gamma0
-            + state.gamma1 * u1[:, None]
-            + state.gamma2 * u2[None, :]
-            + tensor_eval(basis1, state.C, basis2))
-
-
 def interaction_surface(grid: LogConcGrid, state: ParameterState, spline: SplineSpec,
                         linear_scale: str = "log10") -> SurfaceGrid:
-    """Delta surface: link of the latent predictor, zero on the no-drug borders."""
+    """Delta surface: link of the latent predictor
+    B_ij = gamma0 + gamma1 u1_i + gamma2 u2_j + spline part, zero on the
+    no-drug borders."""
+    u1, u2 = linear_axes(grid, linear_scale)
+    spline_part = tensor_eval(basis_matrix(grid.logc1, spline.knots1, spline.degree), state.C,
+                              basis_matrix(grid.logc2, spline.knots2, spline.degree))
+    b_pred = state.gamma0 + state.gamma1 * u1[:, None] + state.gamma2 * u2[None, :] + spline_part
     p0 = zero_interaction_surface(grid, state).values
-    b_pred = interaction_predictor(grid, state, spline, linear_scale)
     delta = link_g(b_pred, p0, state.b1, state.b2) * grid.border_mask()
     return SurfaceGrid(values=delta, axis1=grid.logc1, axis2=grid.logc2, label="delta")
 
@@ -345,18 +338,19 @@ def surfaces(draws: np.ndarray, design: SurfaceDesign):
     return p0, delta
 
 
-def summed_mean_surface(draws: np.ndarray, design: SurfaceDesign) -> np.ndarray:
-    """Sum over the rows of draws of the unmasked mean surface p0 + g(B).
+def summed_mean_surface(draws: np.ndarray, design: SurfaceDesign, total=None) -> np.ndarray:
+    """Sum over the rows of draws of the unmasked mean surface p0 + g(B),
+    added in row order to total (zeros if None), which is returned.
 
     Uses p0 + g(B) = p0 s(b1 B) + (1 - p0) s(b2 B), s the logistic function,
-    one draw at a time through reused buffers, so the working set does not
-    grow with the number of draws.
+    one draw at a time through reused buffers.
     """
     m1, lam1, m2, lam2 = _columns(draws, "m1", "lambda1", "m2", "lambda2")
     f1, f2 = curve_values(design.axis1, m1, lam1), curve_values(design.axis2, m2, lam2)
     coef = design.coefficients(draws)
     lift2_t = np.ascontiguousarray(design.lift2.T)
-    total = np.zeros((design.axis1.size, design.axis2.size))
+    if total is None:
+        total = np.zeros((design.axis1.size, design.axis2.size))
     pred, s1, p0 = np.empty_like(total), np.empty_like(total), np.empty_like(total)
     for s, (b1, b2) in enumerate(draws[:, [COLUMN["b1"], COLUMN["b2"]]].tolist()):
         np.matmul(design.lift1 @ coef[s], lift2_t, out=pred)

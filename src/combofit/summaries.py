@@ -2,7 +2,7 @@
 pseudo-marginal predictive score (LPML) and surface MSE."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from .data import SurfaceGrid
 from .errors import ValidationError
 from .model import LN10, SurfaceDesign, summed_mean_surface
 
-# Whole-run acceptance outside this range marks a block as stuck or as
+# Acceptance after burn-in outside this range marks a block as stuck or as
 # proposing steps too small to explore.
 ACCEPTANCE_RANGE = (0.05, 0.9)
 
@@ -104,25 +104,33 @@ def lpml(obs_log_densities: np.ndarray) -> float:
     ld = np.asarray(obs_log_densities, dtype=float)
     if ld.ndim != 2 or ld.shape[0] < 1:
         raise ValidationError("need a (samples, observations) log-density matrix")
-    return _pooled_lpml([ld], np.ones(ld.shape[1], dtype=bool))
+    stream = LpmlStream()
+    stream.add(ld)
+    return stream.value()
 
 
-def _pooled_lpml(blocks, columns) -> float:
-    """lpml of the row-wise stack of blocks, restricted to the boolean
-    columns, without building the stack."""
-    if not all(np.all(np.isfinite(block)) for block in blocks):
-        raise ValidationError("log densities must be finite")
-    n_samples = sum(block.shape[0] for block in blocks)
-    low = np.min([block.min(axis=0) for block in blocks], axis=0)[columns]
-    total = np.zeros(low.shape)
-    for block in blocks:
-        shifted = block[:, columns]
-        shifted -= low
-        np.negative(shifted, out=shifted)
-        np.exp(shifted, out=shifted)
-        total += shifted.sum(axis=0)
-    log_cpo = math.log(n_samples) - (np.log(total) - low)
-    return float(np.sum(log_cpo))
+class LpmlStream:
+    """lpml of the row-wise stack of (samples, observations) blocks that are
+    added one at a time and not kept. Per observation it keeps the lowest log
+    density so far, low, and the sum of exp(low - ld) over the rows so far; a
+    block that lowers low rescales that sum by exp(new_low - low)."""
+
+    def __init__(self):
+        self.n_samples, self.low, self.total = 0, None, 0.0
+
+    def add(self, block: np.ndarray):
+        if not np.all(np.isfinite(block)):
+            raise ValidationError("log densities must be finite")
+        low = block.min(axis=0)
+        if self.n_samples:
+            np.minimum(low, self.low, out=low)
+            self.total *= np.exp(low - self.low)
+        self.total += np.exp(low - block).sum(axis=0)
+        self.low = low
+        self.n_samples += block.shape[0]
+
+    def value(self) -> float:
+        return float(np.sum(math.log(self.n_samples) - (np.log(self.total) - self.low)))
 
 
 def combination_columns(grid, n_obs: int) -> np.ndarray:
@@ -166,14 +174,19 @@ def fine_mean_surface(chains, n_points: int = 100) -> SurfaceGrid:
 
     The mean surface is re-evaluated per retained sample on the fine grid
     (interaction included, no border mask: every fine point has both drugs
-    present) and then averaged.
+    present) and then averaged; draws are visited a block at a time.
     """
     chains = _pool(chains)
     grid = chains[0].grid
     ax1 = np.linspace(grid.logc1[1], grid.logc1[-1], n_points)
     ax2 = np.linspace(grid.logc2[1], grid.logc2[-1], n_points)
     design = SurfaceDesign.on_axes(ax1, ax2, chains[0].spline, chains[0].linear_scale)
-    total = sum(summed_mean_surface(chain.draws, design) for chain in chains)
+    total = 0.0
+    for chain in chains:
+        chain_total = np.zeros((n_points, n_points))
+        for rows in chain.row_blocks():
+            summed_mean_surface(rows, design, total=chain_total)
+        total = total + chain_total
     count = sum(len(chain) for chain in chains)
     return SurfaceGrid(values=total / count, axis1=ax1, axis2=ax2, label="p_fine")
 
@@ -193,29 +206,22 @@ class SummaryReport:
 
     n_samples: int
     lpml: float
+    dss_threshold: float
     dss: dict
     rvus: dict
     interaction_labels: dict
-    bi_ec50_points: np.ndarray
     bi_ec50_tolerance: float
-    dss_threshold: float
-    posterior_mean: dict = field(default_factory=dict)
+    bi_ec50_points: np.ndarray
     acceptance: dict = field(default_factory=dict)
+    acceptance_after_burn_in: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
+    posterior_mean: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "lpml": self.lpml,
-            "dss_threshold": self.dss_threshold,
-            "dss": self.dss,
-            "rvus": self.rvus,
-            "interaction_labels": self.interaction_labels,
-            "bi_ec50_tolerance": self.bi_ec50_tolerance,
-            "bi_ec50_points": [[float(a), float(b)] for a, b in self.bi_ec50_points],
-            "acceptance": self.acceptance,
-            "warnings": self.warnings,
-        }
+        """Every field but posterior_mean, in field order."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        payload["bi_ec50_points"] = [[float(a), float(b)] for a, b in self.bi_ec50_points]
+        return payload
 
 
 def summarize_chains(chains, dss_threshold: float = 0.10,
@@ -233,7 +239,9 @@ def summarize_chains(chains, dss_threshold: float = 0.10,
     LPML is reported over the combination observations only (both doses
     nonzero): the monotherapy borders inform the fit but the predictive score
     targets the cells where an interaction is possible. warnings names each
-    chain's blocks whose whole-run acceptance lies outside ACCEPTANCE_RANGE.
+    chain's blocks whose acceptance after burn-in lies outside
+    ACCEPTANCE_RANGE. Surfaces and log densities are folded into the scores
+    a block of draws at a time, so only the scores grow with the draws.
     """
     chains = _pool(chains)
     grid = chains[0].grid
@@ -246,39 +254,45 @@ def summarize_chains(chains, dss_threshold: float = 0.10,
     dss1 = dss_scores(pooled("m1"), pooled("lambda1"), lo1, hi1, dss_threshold)
     dss2 = dss_scores(pooled("m2"), pooled("lambda2"), lo2, hi2, dss_threshold)
     keys = ("p0", "abs_delta", "delta_plus", "delta_minus", "one_minus_p")
-    scores = np.concatenate([_rvus_scores(chain.p0, chain.delta, grid)
-                             for chain in chains], axis=1)
+    n_samples = sum(len(chain) for chain in chains)
+    scores = np.empty((len(keys), n_samples))
+    sum_p0, sum_delta = np.zeros(grid.shape), np.zeros(grid.shape)
+    combo, stream, start = None, LpmlStream(), 0
+    for chain in chains:
+        for rows, p0, delta, ld in chain.blocks():
+            stop = start + len(rows)
+            scores[:, start:stop] = _rvus_scores(p0, delta, grid)
+            start = stop
+            sum_p0 += p0.sum(axis=0)
+            sum_delta += delta.sum(axis=0)
+            if combo is None:
+                combo = combination_columns(grid, ld.shape[1])
+            stream.add(ld[:, combo])
 
     labels = {"delta_plus": "synergistic", "delta_minus": "antagonistic"}
     if swap_interaction_labels:
         labels = {"delta_plus": "antagonistic", "delta_minus": "synergistic"}
 
     fine = fine_mean_surface(chains, n_points=fine_points)
-    n_samples = sum(len(chain) for chain in chains)
-    mean_p0 = sum(chain.p0.sum(axis=0) for chain in chains) / n_samples
-    mean_delta = sum(chain.delta.sum(axis=0) for chain in chains) / n_samples
-
-    blocks = [chain.obs_log_densities for chain in chains]
-    combo = combination_columns(grid, blocks[0].shape[1])
     lo, hi = ACCEPTANCE_RANGE
     warnings = [{"chain": i, "block": block, "acceptance": rate}
                 for i, chain in enumerate(chains)
-                for block, rate in chain.accept_rates.items() if not lo <= rate <= hi]
+                for block, rate in chain.accept_rates_after_burn_in.items()
+                if not lo <= rate <= hi]
     return SummaryReport(
         n_samples=n_samples,
-        lpml=_pooled_lpml(blocks, combo),
+        lpml=stream.value(),
         dss={"drug1": _quantile_stats(dss1), "drug2": _quantile_stats(dss2)},
         rvus={key: _quantile_stats(vals) for key, vals in zip(keys, scores)},
         interaction_labels=labels,
         bi_ec50_points=bi_ec50(fine, bi_ec50_tolerance),
         bi_ec50_tolerance=bi_ec50_tolerance,
         dss_threshold=dss_threshold,
-        posterior_mean={
-            "p0": mean_p0,
-            "delta": mean_delta,
-            "p": mean_p0 + mean_delta,
-        },
+        posterior_mean={"p0": sum_p0 / n_samples, "delta": sum_delta / n_samples,
+                        "p": sum_p0 / n_samples + sum_delta / n_samples},
         acceptance={str(i): dict(chain.accept_rates) for i, chain in enumerate(chains)},
+        acceptance_after_burn_in={str(i): dict(chain.accept_rates_after_burn_in)
+                                  for i, chain in enumerate(chains)},
         warnings=warnings,
     )
 

@@ -85,7 +85,7 @@ def test_01_interaction_mse(headline):
 
 def test_02_lpml(headline):
     _, _, chain = headline
-    ld = chain.obs_log_densities
+    ld = np.concatenate([block_ld for *_, block_ld in chain.blocks()])
     score = lpml(ld[:, combination_columns(chain.grid, ld.shape[1])])
     ok = abs(score - 421.0) <= 42.1
     _verdict(2, "combination-cell LPML on the reference simulation", ok,

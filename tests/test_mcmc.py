@@ -9,8 +9,9 @@ from combofit import (AdaptiveState, ChainConfig, InitializationError,
                       InverseGammaPrior, PriorSpec, ValidationError,
                       chain_from_draws, initial_state, run_chain, run_chains,
                       variance_posterior_params)
-from combofit.mcmc import BLOCK_NAMES, draw_inverse_gamma
-from combofit.model import DRAW_SCALARS, POSITIVE_SCALARS, mean_surface
+from combofit.mcmc import BLOCK_NAMES, _Sampler, draw_inverse_gamma
+from combofit.model import (DRAW_SCALARS, LINEAR_SCALES, POSITIVE_SCALARS, SurfaceDesign,
+                            mean_surface, surfaces)
 
 TINY = ChainConfig(n_iter=100, burn_in=50, thin=5, seed=3)
 
@@ -182,16 +183,18 @@ def test_conjugate_sigma_eps_draws_match_closed_form(small_plate, small_grid,
 def test_chain_bookkeeping_shapes(small_plate):
     chain = run_chain(small_plate, config=TINY)
     assert len(chain) == 10
-    assert chain.p0.shape == (10, 5, 4)
-    assert chain.delta.shape == (10, 5, 4)
-    assert chain.obs_log_densities.shape == (10, 40)
+    [(rows, p0, delta, ld)] = chain.blocks()
+    np.testing.assert_array_equal(rows, chain.draws)
+    assert p0.shape == delta.shape == (10, 5, 4)
+    assert ld.shape == (10, 40)
     assert chain.scalar_series("m1").shape == (10,)
     assert chain.coefficient_series().shape == (10, 6, 6)
     assert chain.draws.shape == (10, len(DRAW_SCALARS) + 36)
     np.testing.assert_array_equal(chain.coefficient_series()[3].ravel(),
                                   chain.draws[3, len(DRAW_SCALARS):])
     assert chain.chain_index == 0
-    np.testing.assert_array_equal(chain.p, chain.p0 + chain.delta)
+    assert chain.data is small_plate
+    assert set(chain.accept_rates_after_burn_in) == set(chain.accept_rates)
     with pytest.raises(ValidationError):
         chain.scalar_series("not_a_parameter")
 
@@ -201,8 +204,9 @@ def test_chain_is_deterministic(small_plate):
     b = run_chain(small_plate, config=TINY)
     for name in ("m1", "lambda2", "gamma1", "sigma2_eps", "sigma2_m1"):
         np.testing.assert_array_equal(a.scalar_series(name), b.scalar_series(name))
-    np.testing.assert_array_equal(a.p0, b.p0)
-    np.testing.assert_array_equal(a.obs_log_densities, b.obs_log_densities)
+    np.testing.assert_array_equal(a.draws, b.draws)
+    assert a.accept_rates == b.accept_rates
+    assert a.accept_rates_after_burn_in == b.accept_rates_after_burn_in
 
 
 def test_chain_index_changes_the_stream(small_plate):
@@ -215,14 +219,27 @@ def test_retained_states_respect_constraints(small_chain):
     for name in POSITIVE_SCALARS:
         assert (small_chain.scalar_series(name) > 0.0).all()
     assert np.isfinite(small_chain.draws).all()
-    assert (small_chain.p > 0.0).all()
-    assert (small_chain.p < 1.0).all()
+    for _, p0, delta, _ in small_chain.blocks():
+        assert (p0 + delta > 0.0).all()
+        assert (p0 + delta < 1.0).all()
 
 
 def test_acceptance_rates_reported_per_block(small_chain):
-    rates = small_chain.accept_rates
-    assert set(rates) == set(BLOCK_NAMES)
-    assert all(0.0 <= r <= 1.0 for r in rates.values())
+    for rates in (small_chain.accept_rates, small_chain.accept_rates_after_burn_in):
+        assert set(rates) == set(BLOCK_NAMES)
+        assert all(0.0 <= r <= 1.0 for r in rates.values())
+
+
+def test_acceptance_after_burn_in_counts_moves_of_retained_draws(small_plate):
+    # at thin 1 every accepted m1 proposal after the first retained iteration
+    # shows as a change between consecutive retained draws
+    config = ChainConfig(n_iter=600, burn_in=300, thin=1, adapt_start=100, seed=2)
+    chain = run_chain(small_plate, config=config, update_blocks=("m1",))
+    m1 = chain.scalar_series("m1")
+    moved = float(np.mean(m1[1:] != m1[:-1]))
+    rate = chain.accept_rates_after_burn_in["m1"]
+    assert abs(rate - moved) <= 1.0 / len(chain)
+    assert rate != chain.accept_rates["m1"]
 
 
 def test_ig_prior_switches_variance_blocks_to_gibbs(small_plate):
@@ -235,7 +252,10 @@ def test_ig_prior_switches_variance_blocks_to_gibbs(small_plate):
 
 def test_prior_only_chain_runs(small_plate):
     chain = run_chain(small_plate, config=TINY, prior_only=True)
-    assert chain.obs_log_densities.shape == (10, 0)
+    assert chain.data is None
+    [(_, p0, _, ld)] = chain.blocks()
+    assert p0.shape == (10, 5, 4)
+    assert ld.shape == (10, 0)
     assert np.isfinite(chain.scalar_series("m1")).all()
     assert (chain.scalar_series("lambda1") > 0.0).all()
 
@@ -279,28 +299,30 @@ def test_initialization_error_on_degenerate_start(small_plate, small_grid,
 # Reconstruction and multi-chain helpers
 
 
-def test_chain_from_draws_reproduces_surfaces(small_plate, small_chain):
+def test_sampler_surfaces_match_the_kernel(small_plate, small_grid, small_spline):
+    # summaries derive p0 and Delta from the draws through model.surfaces;
+    # the sampler's incrementally updated surfaces must be the same function
+    # of its state. TINY retains the final iteration as its last draw.
+    for linear_scale in LINEAR_SCALES:
+        sampler = _Sampler(small_plate, PriorSpec(), small_spline, TINY, linear_scale,
+                           None, False, None, 0)
+        last = sampler.run().draws[-1:]
+        design = SurfaceDesign.on_grid(small_grid, small_spline, linear_scale)
+        p0, delta = surfaces(last, design)
+        assert np.abs(delta).max() > 1e-3
+        np.testing.assert_allclose(sampler.p0_parts[0], p0[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sampler.delta, delta[0], rtol=0.0, atol=1e-12)
+
+
+def test_chain_from_draws_holds_the_stored_draws(small_plate, small_chain):
     rebuilt = chain_from_draws(small_plate, small_chain.draws)
     assert len(rebuilt) == len(small_chain)
-    np.testing.assert_allclose(rebuilt.p0, small_chain.p0, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(rebuilt.delta, small_chain.delta,
-                               rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(rebuilt.obs_log_densities,
-                               small_chain.obs_log_densities,
-                               rtol=1e-9, atol=1e-9)
+    assert rebuilt.accept_rates == rebuilt.accept_rates_after_burn_in == {}
+    for got, want in zip(rebuilt.blocks(), small_chain.blocks()):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
     with pytest.raises(ValidationError):
         chain_from_draws(small_plate, small_chain.draws[:0])
-
-
-def test_prior_only_chain_stores_the_surfaces_of_its_draws(small_plate):
-    # without a likelihood the sampler skips the grid and builds p0 and
-    # Delta only for the retained draws
-    chain = run_chain(small_plate, config=replace(TINY, adapt_start=20),
-                      prior_only=True)
-    assert chain.obs_log_densities.shape == (10, 0)
-    rebuilt = chain_from_draws(small_plate, chain.draws)
-    np.testing.assert_allclose(chain.p0, rebuilt.p0, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(chain.delta, rebuilt.delta, rtol=1e-9, atol=1e-12)
 
 
 def test_run_chains_indexes_streams(small_plate):

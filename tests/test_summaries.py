@@ -1,17 +1,24 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from combofit import (SurfaceGrid, ValidationError, bi_ec50,
+from combofit import (ChainConfig, SimScenario, SurfaceGrid, ValidationError, bi_ec50,
                       combination_columns, dss, fine_mean_surface,
-                      log_logistic_2ll, lpml, mse_surface, reference_grid, rvus,
-                      summarize_chains)
-from combofit.summaries import dss_scores, mean_heights
+                      log_logistic_2ll, lpml, mse_surface, reference_grid, run_chain,
+                      rvus, sample_plate, summarize_chains)
+from combofit.summaries import LpmlStream, dss_scores, mean_heights
+
+
+def _stacked_blocks(chain):
+    """p0, Delta and observation log densities of every draw of chain."""
+    return [np.concatenate(parts) for parts in list(zip(*chain.blocks()))[1:]]
 
 
 def _surface(values, axis1=None, axis2=None):
@@ -229,6 +236,26 @@ def test_lpml_validation():
         lpml(np.array([[-1.0, np.inf]]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 8),
+       st.integers(1, 4), st.floats(0.1, 40.0), st.integers(0, 2**32 - 1))
+def test_streamed_lpml_matches_the_stacked_matrix(sizes, n_columns, at, drop, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(-1.0, 2.0, (n, n_columns)) for n in sizes]
+    # a later block below every column's minimum so far: the running sums
+    # are rescaled
+    low = np.min(np.concatenate(blocks[:at]), axis=0) - rng.uniform(0.1, drop, (2, n_columns))
+    blocks.insert(min(at, len(blocks)), low)
+    stream = LpmlStream()
+    for block in blocks:
+        stream.add(block)
+    stacked = np.concatenate(blocks)
+    assert stream.n_samples == stacked.shape[0]
+    assert stream.value() == pytest.approx(lpml(stacked), rel=1e-12)
+    oracle = np.sum(math.log(stacked.shape[0]) - special.logsumexp(-stacked, axis=0))
+    assert stream.value() == pytest.approx(oracle, rel=1e-12)
+
+
 def test_combination_columns_reference_grid():
     grid = reference_grid()
     mask = combination_columns(grid, 330)
@@ -299,9 +326,8 @@ def test_summarize_chains_report(small_chain):
 
 def test_summarize_chains_lpml_uses_combination_cells(small_chain):
     report = summarize_chains(small_chain, fine_points=25)
-    mask = combination_columns(small_chain.grid,
-                               small_chain.obs_log_densities.shape[1])
-    expected = lpml(small_chain.obs_log_densities[:, mask])
+    _, _, ld = _stacked_blocks(small_chain)
+    expected = lpml(ld[:, combination_columns(small_chain.grid, ld.shape[1])])
     assert report.lpml == pytest.approx(expected, abs=1e-12)
 
 
@@ -311,8 +337,8 @@ def test_summarize_chains_scores_match_per_draw_loop(small_chain):
     expected = {key: [] for key in ("p0", "abs_delta", "delta_plus", "delta_minus",
                                     "one_minus_p", "drug1", "drug2")}
     for p0, delta, m1, lam1, m2, lam2 in zip(
-            small_chain.p0, small_chain.delta, *(small_chain.scalar_series(name) for name in
-                                                 ("m1", "lambda1", "m2", "lambda2"))):
+            *_stacked_blocks(small_chain)[:2],
+            *(small_chain.scalar_series(name) for name in ("m1", "lambda1", "m2", "lambda2"))):
         bound = float(np.max(np.maximum(p0, 1.0 - p0)))
         ax = (grid.logc1, grid.logc2)
         for key, values, upper in (("p0", p0, 1.0), ("abs_delta", np.abs(delta), bound),
@@ -330,12 +356,8 @@ def test_summarize_chains_scores_match_per_draw_loop(small_chain):
 
 
 def test_summarize_chains_pools_chains_without_stacking(small_chain):
-    from dataclasses import replace
-
     half = len(small_chain) // 2
-    parts = [replace(small_chain, draws=small_chain.draws[rows], p0=small_chain.p0[rows],
-                     delta=small_chain.delta[rows],
-                     obs_log_densities=small_chain.obs_log_densities[rows])
+    parts = [replace(small_chain, draws=small_chain.draws[rows])
              for rows in (slice(0, half), slice(half, None))]
     whole = summarize_chains(small_chain, fine_points=25)
     pooled = summarize_chains(parts, fine_points=25)
@@ -349,6 +371,21 @@ def test_summarize_chains_pools_chains_without_stacking(small_chain):
     np.testing.assert_array_equal(pooled.bi_ec50_points, whole.bi_ec50_points)
     np.testing.assert_allclose(pooled.posterior_mean["p"], whole.posterior_mean["p"],
                                rtol=0.0, atol=1e-15)
+
+
+def test_summaries_memory_does_not_grow_with_draws():
+    # the surfaces and log densities of the draws are derived a block at a
+    # time; what remains per draw is a handful of scores
+    data, _ = sample_plate(SimScenario(3, seed=1))
+    chain = run_chain(data, config=ChainConfig(n_iter=800, burn_in=400, thin=1, seed=1))
+    peaks = []
+    for copies in (1, 10):
+        part = replace(chain, draws=np.tile(chain.draws, (copies, 1)))
+        tracemalloc.start()
+        summarize_chains(part)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2 ** 20
 
 
 def test_summarize_chains_label_swap(small_chain):
