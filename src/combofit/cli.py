@@ -2,17 +2,19 @@
 
 Exit codes: 0 success, 1 input/validation error, 2 numerical failure. Output
 files land in --outdir, the COMBOFIT_OUTDIR environment variable, or the
-working directory, in that order of precedence; config-file values sit between
-built-in defaults and explicit flags. Outputs are written under temporary names
-and renamed into place only once all of them are written, so a failed run
-leaves the files of an earlier run untouched.
+working directory, in that order of precedence. Options resolve as built-in
+defaults < file values < explicit flags, where the file is fit's --config or,
+for summarize, the config block of the summary.json next to its samples CSV.
+Outputs are written under temporary names and renamed into place only once all
+of them are written, so a failed run leaves the files of an earlier run
+untouched.
 """
 
 import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,63 +31,35 @@ from .summaries import ACCEPTANCE_RANGE, mse_surface, summarize_chains
 
 OUTDIR_ENV = "COMBOFIT_OUTDIR"
 
-FIT_DEFAULTS = {
-    "iters": 100_000,
-    "burn_in": None,
-    "thin": 10,
-    "adapt_start": 1000,
-    "seed": 0,
-    "chains": 1,
-    "k1": 6,
-    "k2": 6,
-    "degree": 3,
-    "ridge": 1e-4,
-    "variance_prior": "hc",
-    "hc_scale": 1.0,
-    "ig_shape": 3.0,
-    "ig_rate": 2.0,
-    "lambda_shape": 0.01,
-    "lambda_rate": 0.01,
-    "b_shape": 0.01,
-    "b_rate": 0.01,
-    "linear_scale": "log10",
-    "dss_threshold": 0.10,
-    "bi_ec50_tolerance": 0.01,
-    "fine_points": 100,
-    "swap_interaction_labels": False,
-}
-
-_INT_KEYS = {"iters", "burn_in", "thin", "adapt_start", "seed", "chains",
-             "k1", "k2", "degree", "fine_points"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options of one fit run."""
+    """Resolved options of one fit run; the field defaults are the built-in
+    defaults, and fit records every field in its summary.json."""
 
-    iters: int
-    burn_in: object
-    thin: int
-    adapt_start: int
-    seed: int
-    chains: int
-    k1: int
-    k2: int
-    degree: int
-    ridge: float
-    variance_prior: str
-    hc_scale: float
-    ig_shape: float
-    ig_rate: float
-    lambda_shape: float
-    lambda_rate: float
-    b_shape: float
-    b_rate: float
-    linear_scale: str
-    dss_threshold: float
-    bi_ec50_tolerance: float
-    fine_points: int
-    swap_interaction_labels: bool
+    iters: int = 100_000
+    burn_in: int = None
+    thin: int = 10
+    adapt_start: int = 1000
+    seed: int = 0
+    chains: int = 1
+    k1: int = 6
+    k2: int = 6
+    degree: int = 3
+    ridge: float = 1e-4
+    variance_prior: str = "hc"
+    hc_scale: float = 1.0
+    ig_shape: float = 3.0
+    ig_rate: float = 2.0
+    lambda_shape: float = 0.01
+    lambda_rate: float = 0.01
+    b_shape: float = 0.01
+    b_rate: float = 0.01
+    linear_scale: str = "log10"
+    dss_threshold: float = 0.10
+    bi_ec50_tolerance: float = 0.01
+    fine_points: int = 100
+    swap_interaction_labels: bool = False
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(n_iter=self.iters, burn_in=self.burn_in, thin=self.thin,
@@ -103,8 +77,9 @@ class RunConfig:
         return PriorSpec(lambda1=lam, lambda2=lam, b1=slope, b2=slope,
                          variance_prior=var_prior, spline_penalty_ridge=self.ridge)
 
-    def to_json_dict(self) -> dict:
-        return {key: getattr(self, key) for key in FIT_DEFAULTS}
+
+FIT_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_INT_KEYS = {f.name for f in fields(RunConfig) if f.type is int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,24 +100,41 @@ def _resolve_outdir(flag_value) -> Path:
     return path
 
 
-def _merge_options(args, defaults: dict) -> dict:
-    """defaults < config file < explicit CLI flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = cio.read_json(config_path)
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in defaults:
+def _merge_options(args, file_values: dict) -> RunConfig:
+    """Built-in defaults < file values (fit's --config, or the fit record that
+    summarize reads) < explicit CLI flags."""
+    unknown = set(file_values) - set(FIT_DEFAULTS)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    merged = {**FIT_DEFAULTS, **file_values}
+    for key in FIT_DEFAULTS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
     for key in _INT_KEYS:
-        if key in merged and merged[key] is not None:
-            merged[key] = int(merged[key])
-    return merged
+        if merged[key] is not None:
+            try:
+                merged[key] = int(merged[key])
+            except (TypeError, ValueError):
+                raise ValidationError(f"{key} must be an integer, not {merged[key]!r}") from None
+    return RunConfig(**merged)
+
+
+def _fit_record(samples_path) -> tuple:
+    """Path and resolved options of the fit that wrote samples_path, from the
+    config block of the summary.json next to it."""
+    path = Path(samples_path).with_name("summary.json")
+    if not path.is_file():
+        raise ValidationError(f"no fit record {path} next to the samples; summarize "
+                              f"reads the model options from it")
+    record = cio.read_json(path)
+    config = record.get("config") if isinstance(record, dict) else None
+    if not isinstance(config, dict):
+        raise ValidationError(f"fit record {path} has no config block")
+    missing = set(FIT_DEFAULTS) - set(config)
+    if missing:
+        raise ValidationError(f"fit record {path} lacks config keys {sorted(missing)}")
+    return path, config
 
 
 class _OutputSet:
@@ -180,16 +172,6 @@ class _OutputSet:
 # Subcommands
 
 
-def _add_model_flags(sub):
-    sub.add_argument("--k1", type=int, help="spline basis size, drug 1 axis")
-    sub.add_argument("--k2", type=int, help="spline basis size, drug 2 axis")
-    sub.add_argument("--degree", type=int, help="spline degree")
-    sub.add_argument("--ridge", type=float, help="penalty precision ridge")
-    sub.add_argument("--linear-scale", dest="linear_scale",
-                     choices=("log10", "natural"),
-                     help="scale of the linear predictor terms")
-
-
 def _add_summary_flags(sub):
     sub.add_argument("--dss-threshold", dest="dss_threshold", type=float)
     sub.add_argument("--bi-ec50-tolerance", dest="bi_ec50_tolerance", type=float)
@@ -224,7 +206,12 @@ def build_parser() -> _Parser:
     fit.add_argument("--lambda-rate", dest="lambda_rate", type=float)
     fit.add_argument("--b-shape", dest="b_shape", type=float)
     fit.add_argument("--b-rate", dest="b_rate", type=float)
-    _add_model_flags(fit)
+    fit.add_argument("--k1", type=int, help="spline basis size, drug 1 axis")
+    fit.add_argument("--k2", type=int, help="spline basis size, drug 2 axis")
+    fit.add_argument("--degree", type=int, help="spline degree")
+    fit.add_argument("--ridge", type=float, help="penalty precision ridge")
+    fit.add_argument("--linear-scale", dest="linear_scale", choices=("log10", "natural"),
+                     help="scale of the linear predictor terms")
     _add_summary_flags(fit)
 
     sim = subs.add_parser("simulate", help="generate a synthetic plate with truth")
@@ -235,12 +222,11 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--outdir")
 
-    summ = subs.add_parser("summarize", help="recompute summaries from a samples CSV")
+    summ = subs.add_parser("summarize", help="recompute summaries from a samples CSV; the "
+                           "model options come from the summary.json next to it")
     summ.add_argument("--input", required=True, help="plate CSV of the original fit")
     summ.add_argument("--samples", required=True, help="samples CSV of the original fit")
     summ.add_argument("--outdir")
-    summ.add_argument("--config", help="JSON file with default overrides")
-    _add_model_flags(summ)
     _add_summary_flags(summ)
 
     base = subs.add_parser("baseline", help="classical reference surfaces")
@@ -260,9 +246,9 @@ def _check_truth_axes(truth: dict, grid: LogConcGrid):
         raise ValidationError("truth grid does not match the plate grid")
 
 
-def _setup(args):
+def _setup(args, file_values: dict):
     """Resolved options, plate, grid and spline layout of fit and summarize."""
-    run_cfg = RunConfig(**_merge_options(args, FIT_DEFAULTS))
+    run_cfg = _merge_options(args, file_values)
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
     spline = SplineSpec.for_grid(grid, k1=run_cfg.k1, k2=run_cfg.k2,
@@ -279,7 +265,7 @@ def _summarize(chains, run_cfg: RunConfig):
 
 def _cmd_fit(args) -> int:
     outdir = _resolve_outdir(args.outdir)
-    run_cfg, data, grid, spline = _setup(args)
+    run_cfg, data, grid, spline = _setup(args, cio.read_json(args.config) if args.config else {})
     truth = None
     if args.truth:
         truth = cio.read_truth_csv(args.truth)
@@ -300,7 +286,7 @@ def _cmd_fit(args) -> int:
         for key in ("p", "p0", "delta"):
             cio.write_surface_csv(out.path(f"surface_{key}.csv"), SurfaceGrid(
                 values=mean[key], axis1=grid.logc1, axis2=grid.logc2, label=f"{key}_mean"))
-        payload = {"config": run_cfg.to_json_dict(),
+        payload = {"config": asdict(run_cfg),
                    "input": str(args.input),
                    "drug_names": list(data.drug_names),
                    "n_chains": run_cfg.chains}
@@ -326,18 +312,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_summarize(args) -> int:
     outdir = _resolve_outdir(args.outdir)
-    run_cfg, data, grid, spline = _setup(args)
+    record_path, record = _fit_record(args.samples)
+    run_cfg, data, grid, spline = _setup(args, record)
     samples = cio.read_samples_csv(args.samples)
     if samples.coeff_shape != (spline.k1, spline.k2):
         raise ValidationError(
             f"samples hold a {samples.coeff_shape[0]} x {samples.coeff_shape[1]} coefficient "
-            f"matrix; --k1 {spline.k1} --k2 {spline.k2} expects {spline.k1} x {spline.k2}")
+            f"matrix; the fit record {record_path} gives k1 {spline.k1}, k2 {spline.k2}")
     chains = [chain_from_draws(data, samples.draws[samples.chain == index], spline=spline,
                                linear_scale=run_cfg.linear_scale, chain_index=int(index))
               for index in np.unique(samples.chain)]
+    del samples  # each chain holds a copy of its rows
     report = _summarize(chains, run_cfg)
     with _OutputSet(outdir) as out:
-        payload = {"input": str(args.input), "samples": str(args.samples)}
+        payload = {"config": asdict(run_cfg), "input": str(args.input),
+                   "samples": str(args.samples)}
         payload.update(report.to_json_dict())
         cio.write_json(out.path("summary.json"), payload)
     return 0

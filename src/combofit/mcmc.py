@@ -52,20 +52,24 @@ DEFAULT_PROPOSAL_SCALES = {
     "sigma2_gamma1": 0.3, "sigma2_gamma2": 0.3, "sigma2_eps": 0.3,
 }
 
+# Proposal adaptation: the jitter added to each proposal covariance, the decay
+# of the Robbins-Monro steps and the target acceptance of one-dimensional and
+# of larger blocks (Roberts & Rosenthal 2009).
+ADAPT_JITTER = 1e-6
+RM_DECAY = 0.7
+TARGET_ACCEPT_SCALAR = 0.44
+TARGET_ACCEPT_MULTI = 0.234
+
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Schedule and tuning knobs of one MCMC chain."""
+    """Schedule and initial proposal scales of one MCMC chain."""
 
     n_iter: int = 100_000
     burn_in: int = None
     thin: int = 10
     adapt_start: int = 1000
     seed: int = 0
-    adapt_jitter: float = 1e-6
-    rm_decay: float = 0.7
-    target_accept_scalar: float = 0.44
-    target_accept_multi: float = 0.234
     proposal_scales: dict = None
 
     def __post_init__(self):
@@ -82,13 +86,6 @@ class ChainConfig:
             raise ValidationError("adapt_start must be at least 1")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if not self.adapt_jitter > 0.0:
-            raise ValidationError("adapt_jitter must be positive")
-        if not 0.5 < self.rm_decay <= 1.0:
-            raise ValidationError("rm_decay must lie in (0.5, 1]")
-        for target in (self.target_accept_scalar, self.target_accept_multi):
-            if not 0.0 < target < 1.0:
-                raise ValidationError("acceptance targets must lie in (0, 1)")
         scales = dict(DEFAULT_PROPOSAL_SCALES)
         if self.proposal_scales is not None:
             unknown = set(self.proposal_scales) - set(BLOCK_NAMES)
@@ -234,11 +231,9 @@ class PosteriorChain:
     draws: np.ndarray
     accept_rates: dict
     accept_rates_after_burn_in: dict
-    config: ChainConfig
     chain_index: int
     grid: LogConcGrid
     spline: SplineSpec
-    priors: PriorSpec
     linear_scale: str
     data: PlateDataset
 
@@ -349,7 +344,6 @@ class _Sampler:
         self.hc = hc
         self.ig = priors.variance_prior if hc is None else None
 
-        cfg = config
         self.adapters = {}
         for name in BLOCK_NAMES:
             if name not in self.active:
@@ -357,11 +351,10 @@ class _Sampler:
             if name.startswith("sigma2_") and self.ig is not None:
                 continue  # conjugate draws need no tuning
             dim = {"b": 2, "C": spline.k1 * spline.k2}.get(name, 1)
-            target = cfg.target_accept_scalar if dim == 1 else cfg.target_accept_multi
+            target = TARGET_ACCEPT_SCALAR if dim == 1 else TARGET_ACCEPT_MULTI
             self.adapters[name] = AdaptiveState(
-                dim=dim, initial_scale=cfg.proposal_scales[name], target=target,
-                adapt_start=cfg.adapt_start, jitter=cfg.adapt_jitter,
-                rm_decay=cfg.rm_decay)
+                dim=dim, initial_scale=config.proposal_scales[name], target=target,
+                adapt_start=config.adapt_start, jitter=ADAPT_JITTER, rm_decay=RM_DECAY)
         self.accepted = {name: 0 for name in self.adapters}
         self.proposed = {name: 0 for name in self.adapters}
 
@@ -655,8 +648,8 @@ class _Sampler:
                  for name, (a, n) in counts.items()}
         return PosteriorChain(
             draws=draws, accept_rates=_rates(counts), accept_rates_after_burn_in=_rates(after),
-            config=cfg, chain_index=self.chain_index, grid=self.grid, spline=self.spline,
-            priors=self.priors, linear_scale=self.linear_scale, data=self.data)
+            chain_index=self.chain_index, grid=self.grid, spline=self.spline,
+            linear_scale=self.linear_scale, data=self.data)
 
     def _counts(self):
         """(accepted, proposed) of every adapted block so far."""
@@ -690,22 +683,18 @@ def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec =
 
 
 def chain_from_draws(data: PlateDataset, draws: np.ndarray, spline: SplineSpec = None,
-                     priors: PriorSpec = None, linear_scale: str = "log10",
-                     config: ChainConfig = None, chain_index: int = 0) -> PosteriorChain:
+                     linear_scale: str = "log10", chain_index: int = 0) -> PosteriorChain:
     """A PosteriorChain of stored draws of a fit to data, such as the rows of
     one chain of a samples file; it has no acceptance rates."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 1:
         raise ValidationError("need a (draws, columns) array with at least one draw")
     grid = LogConcGrid.from_dataset(data)
-    priors = PriorSpec() if priors is None else priors
     if spline is None:
-        spline = SplineSpec.for_grid(grid, penalty_ridge=priors.spline_penalty_ridge)
-    if config is None:
-        config = ChainConfig(n_iter=draws.shape[0], burn_in=0, thin=1)
+        spline = SplineSpec.for_grid(grid)
     return PosteriorChain(draws=draws, accept_rates={}, accept_rates_after_burn_in={},
-                          config=config, chain_index=chain_index, grid=grid, spline=spline,
-                          priors=priors, linear_scale=linear_scale, data=data)
+                          chain_index=chain_index, grid=grid, spline=spline,
+                          linear_scale=linear_scale, data=data)
 
 
 def run_chains(data: PlateDataset, n_chains: int, priors: PriorSpec = None,

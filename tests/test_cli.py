@@ -133,6 +133,14 @@ def test_fit_rejects_unknown_config_key(tmp_path, plate_csv, capsys):
     assert not (outdir / "samples.csv").exists()
 
 
+def test_fit_rejects_a_non_integer_config_value(tmp_path, plate_csv, capsys):
+    config = tmp_path / "config.json"
+    write_json(config, {"k1": "six"})
+    assert main(["fit", "--input", str(plate_csv), "--outdir", str(tmp_path / "fit"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: k1 must be an integer, not 'six'\n"
+
+
 def test_fit_ig_prior_flag(tmp_path, plate_csv):
     outdir = tmp_path / "fit"
     assert _fit(plate_csv, outdir, "--variance-prior", "ig",
@@ -154,34 +162,70 @@ def test_fit_swap_labels_flag(tmp_path, plate_csv):
 # summarize
 
 
-def test_summarize_matches_fit(tmp_path, plate_csv):
+@pytest.mark.parametrize("fit_flags", [
+    [], ["--degree", "2"], ["--linear-scale", "natural"], ["--k1", "4", "--k2", "5"],
+], ids=["default", "degree2", "natural", "k4x5"])
+def test_summarize_matches_fit(tmp_path, plate_csv, fit_flags):
     fit_dir = tmp_path / "fit"
-    assert _fit(plate_csv, fit_dir) == 0
+    assert _fit(plate_csv, fit_dir, *fit_flags) == 0
     summ_dir = tmp_path / "summ"
+    # no model or summary flags: summarize reads them from the fit's record
     assert main(["summarize", "--input", str(plate_csv),
                  "--samples", str(fit_dir / "samples.csv"),
-                 "--outdir", str(summ_dir), "--fine-points", "20"]) == 0
+                 "--outdir", str(summ_dir)]) == 0
     fit_summary = read_json(fit_dir / "summary.json")
     summary = read_json(summ_dir / "summary.json")
-    # one summary path over the same draws: the scores agree exactly
-    for key in ("n_samples", "lpml", "dss", "rvus", "bi_ec50_points"):
+    # one summary path over the same draws under the same model: the scores
+    # agree exactly, and summarize records the options it used
+    for key in ("config", "n_samples", "lpml", "dss", "rvus", "bi_ec50_points"):
         assert summary[key] == fit_summary[key]
 
 
 def test_summarize_rejects_a_different_coefficient_layout(tmp_path, plate_csv, capsys):
     fit_dir = tmp_path / "fit"
     assert _fit(plate_csv, fit_dir) == 0
+    record = read_json(fit_dir / "summary.json")
+    record["config"].update(k1=4, k2=9)
+    write_json(fit_dir / "summary.json", record)
     assert main(["summarize", "--input", str(plate_csv),
-                 "--samples", str(fit_dir / "samples.csv"), "--k1", "4", "--k2", "9",
+                 "--samples", str(fit_dir / "samples.csv"),
                  "--outdir", str(tmp_path / "summ")]) == 1
     assert "6 x 6 coefficient matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["missing", "without_config"])
+def test_summarize_needs_the_fit_record(tmp_path, plate_csv, monkeypatch, capsys, record):
+    import combofit.cli as cli
+
+    fit_dir = tmp_path / "fit"
+    assert _fit(plate_csv, fit_dir) == 0
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "samples.csv").write_bytes((fit_dir / "samples.csv").read_bytes())
+    if record == "without_config":
+        summary = read_json(fit_dir / "summary.json")
+        del summary["config"]
+        write_json(alone / "summary.json", summary)
+    parsed = []
+    monkeypatch.setattr(cli.cio, "read_samples_csv", lambda *a: parsed.append(a))
+    capsys.readouterr()
+    assert main(["summarize", "--input", str(plate_csv),
+                 "--samples", str(alone / "samples.csv"),
+                 "--outdir", str(tmp_path / "summ")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert str(alone / "summary.json") in err
+    assert parsed == []
 
 
 def test_summarize_groups_interleaved_chain_rows(tmp_path, plate_csv):
     fit_dir = tmp_path / "fit"
     assert _fit(plate_csv, fit_dir, "--chains", "2") == 0
     lines = (fit_dir / "samples.csv").read_text().splitlines()
-    shuffled = tmp_path / "shuffled.csv"
+    # the shuffled samples sit next to a copy of the fit's record
+    (tmp_path / "shuffled").mkdir()
+    shuffled = tmp_path / "shuffled" / "samples.csv"
+    (shuffled.parent / "summary.json").write_bytes((fit_dir / "summary.json").read_bytes())
     rows = lines[1:]
     shuffled.write_text("\n".join([lines[0]] + rows[::2] + rows[1::2]) + "\n")
     outs = []

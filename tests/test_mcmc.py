@@ -40,10 +40,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ChainConfig(seed=-1)
     with pytest.raises(ValidationError):
-        ChainConfig(rm_decay=0.4)
-    with pytest.raises(ValidationError):
-        ChainConfig(target_accept_scalar=1.0)
-    with pytest.raises(ValidationError):
         ChainConfig(proposal_scales={"m1": 0.1, "bogus": 0.2})
     with pytest.raises(ValidationError):
         ChainConfig(proposal_scales={"m1": -0.1})
