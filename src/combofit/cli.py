@@ -31,6 +31,11 @@ from .summaries import ACCEPTANCE_RANGE, mse_surface, summarize_chains
 
 OUTDIR_ENV = "COMBOFIT_OUTDIR"
 
+# The values each declared RunConfig field type accepts, and their name; a bool
+# is an int to isinstance, so only bool fields take one.
+_ACCEPTS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,6 +66,22 @@ class RunConfig:
     fine_points: int = 100
     swap_interaction_labels: bool = False
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.default is None:
+                continue
+            types, kind = _ACCEPTS[field.type]
+            if isinstance(value, bool) != (field.type is bool) or not isinstance(value, types):
+                raise ValidationError(f"{field.name} must be {kind}, not {value!r}")
+        if not 0.0 < self.dss_threshold < 1.0:
+            raise ValidationError(f"dss_threshold must lie in (0, 1), not {self.dss_threshold}")
+        if not self.bi_ec50_tolerance >= 0.0:
+            raise ValidationError(
+                f"bi_ec50_tolerance must be nonnegative, not {self.bi_ec50_tolerance}")
+        if self.fine_points < 2:
+            raise ValidationError(f"fine_points must be at least 2, not {self.fine_points}")
+
     def chain_config(self) -> ChainConfig:
         return ChainConfig(n_iter=self.iters, burn_in=self.burn_in, thin=self.thin,
                            adapt_start=self.adapt_start, seed=self.seed)
@@ -79,7 +100,6 @@ class RunConfig:
 
 
 FIT_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-_INT_KEYS = {f.name for f in fields(RunConfig) if f.type is int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,12 +131,6 @@ def _merge_options(args, file_values: dict) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    for key in _INT_KEYS:
-        if merged[key] is not None:
-            try:
-                merged[key] = int(merged[key])
-            except (TypeError, ValueError):
-                raise ValidationError(f"{key} must be an integer, not {merged[key]!r}") from None
     return RunConfig(**merged)
 
 

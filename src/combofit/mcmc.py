@@ -1,12 +1,17 @@
 """Adaptive Metropolis-within-Gibbs sampler for the dose-response model.
 
-Each parameter block is updated in a fixed order with a Gaussian random walk
-on a transformed scale (log for positive parameters, identity otherwise).
-After an initial adapt_start iterations every block's proposal covariance
-tracks the running sample covariance of its own history, scaled by a factor
-tuned toward a target acceptance rate with Robbins-Monro steps on the log
-scale. Under an Inverse-Gamma variance prior the variance blocks switch to
-exact conjugate draws.
+The chain state is one row of draws (model.DRAW_SCALARS followed by the
+spline coefficients C). Each sweep updates fifteen blocks in a fixed order
+with a Gaussian random walk on a transformed scale (log for positive
+parameters, identity otherwise), through four kinds of update: a
+monotherapy curve (m1, m2, lambda1, lambda2), the link slopes b, a linear
+predictor term (gamma0, gamma1, gamma2) or the coefficients C, and a
+variance (the five sigma2_phi and sigma2_eps). Every random-walk proposal
+ends in the same Metropolis step. After an initial adapt_start iterations
+every block's proposal covariance tracks the running sample covariance of
+its own history, scaled by a factor tuned toward a target acceptance rate
+with Robbins-Monro steps on the log scale. Under an Inverse-Gamma variance
+prior the variance blocks switch to exact conjugate draws.
 """
 
 import math
@@ -17,7 +22,7 @@ import numpy as np
 
 from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import InitializationError, ValidationError
-from .model import (COLUMN, EXP_CLAMP, N_SCALARS, PHI_NAMES, HalfCauchyPrior,
+from .model import (COLUMN, DRAW_SCALARS, EXP_CLAMP, N_SCALARS, HalfCauchyPrior,
                     InverseGammaPrior, ParameterState, PriorSpec, SurfaceDesign,
                     curve_values, initial_state, linear_axes, log_prior,
                     observation_log_densities, surfaces)
@@ -34,16 +39,8 @@ BLOCK_NAMES = (
 # the temporaries at a few hundred kB on a plate-sized grid.
 _REBUILD_BLOCK = 128
 
-_VARIANCE_BLOCKS = {
-    "sigma2_m1": "m1", "sigma2_m2": "m2", "sigma2_gamma0": "gamma0",
-    "sigma2_gamma1": "gamma1", "sigma2_gamma2": "gamma2",
-}
-
 # Subtracting p0 from these gives the link's numerators -p0 and 1 - p0.
 _NUMERATOR_SHIFT = np.array((0.0, 1.0)).reshape(2, 1, 1)
-
-# The sampler's attribute holding each N(0, sigma2_phi) parameter.
-_PHI_ATTRIBUTES = {"m1": "m1", "m2": "m2", "gamma0": "g0", "gamma1": "g1", "gamma2": "g2"}
 
 DEFAULT_PROPOSAL_SCALES = {
     "m1": 0.1, "m2": 0.1, "lambda1": 0.1, "lambda2": 0.1, "b": 0.15,
@@ -122,13 +119,11 @@ class AdaptiveState:
     np.linalg.cholesky; numpy's per-call overhead dominates at that size.
     """
 
-    def __init__(self, dim, initial_scale, target, adapt_start, jitter, rm_decay):
+    def __init__(self, dim, initial_scale, target, adapt_start):
         self.dim = dim
         self.initial_scale = float(initial_scale)
         self.target = float(target)
         self.adapt_start = int(adapt_start)
-        self.jitter = float(jitter)
-        self.rm_decay = float(rm_decay)
         self.log_s = math.log(2.38 ** 2 / dim)
         self.count = 0
         if dim == 1:
@@ -142,7 +137,7 @@ class AdaptiveState:
         else:
             self.sum_t = np.zeros(dim)
             self.sum_tt = np.zeros((dim, dim))
-            self.jitter_eye = self.jitter * np.eye(dim)
+            self.jitter_eye = ADAPT_JITTER * np.eye(dim)
             self.chol = None
 
     def propose_step(self, rng):
@@ -172,18 +167,18 @@ class AdaptiveState:
             self.sum_tt += t[:, None] * t
         if iteration <= self.adapt_start or self.count < 2:
             return
-        self.log_s += iteration ** (-self.rm_decay) * (accept_prob - self.target)
+        self.log_s += iteration ** (-RM_DECAY) * (accept_prob - self.target)
         self.log_s = min(max(self.log_s, -23.0), 14.0)
         s = math.exp(self.log_s)
         n = self.count
         if self.dim == 1:
             var = (self.sum_tt - self.sum_t * self.sum_t / n) / (n - 1)
-            self.step_sd = math.sqrt(s * (max(var, 0.0) + self.jitter))
+            self.step_sd = math.sqrt(s * (max(var, 0.0) + ADAPT_JITTER))
         elif self.dim == 2:
             (m0, m1), (q00, q01, q11) = self.sum_t, self.sum_tt
-            a11 = ((q00 - m0 * m0 / n) / (n - 1) + self.jitter) * s
+            a11 = ((q00 - m0 * m0 / n) / (n - 1) + ADAPT_JITTER) * s
             a21 = ((q01 - m0 * m1 / n) / (n - 1) + 0.0) * s
-            a22 = ((q11 - m1 * m1 / n) / (n - 1) + self.jitter) * s
+            a22 = ((q11 - m1 * m1 / n) / (n - 1) + ADAPT_JITTER) * s
             # LAPACK's order: l21 = a21 * (1 / l11), l22 = sqrt(a22 - l21^2);
             # a pivot that is not positive keeps the previous factor, as below
             if a11 > 0.0:
@@ -288,8 +283,8 @@ class _Sampler:
         self.basis2 = basis_matrix(grid.logc2, spline.knots2, spline.degree)
         self.mask = grid.border_mask()
         u1, u2 = linear_axes(grid, linear_scale)
-        self.u1_col = u1[:, None]
-        self.u2_row = u2[None, :]
+        # what a unit step of each gamma adds to the predictor B
+        self.shift = {"gamma0": 1.0, "gamma1": u1[:, None], "gamma2": u2[None, :]}
         self.prec1 = penalty_precision(spline.k1, spline.penalty_ridge)
         self.prec2 = penalty_precision(spline.k2, spline.penalty_ridge)
 
@@ -314,26 +309,24 @@ class _Sampler:
         start = initial_state(grid, spline) if initial is None else initial
         if start.C.shape != (spline.k1, spline.k2):
             raise ValidationError("initial C shape does not match the spline layout")
-        self.m1, self.m2 = start.m1, start.m2
-        self.lam1, self.lam2 = start.lambda1, start.lambda2
-        self.b1, self.b2 = start.b1, start.b2
-        self.g0, self.g1, self.g2 = start.gamma0, start.gamma1, start.gamma2
+        values = {**vars(start), **{f"sigma2_{name}": value
+                                    for name, value in start.sigma2_phi.items()}}
+        self.theta = [values[name] for name in DRAW_SCALARS]
         self.C = start.C.copy()
-        self.s2phi = dict(start.sigma2_phi)
-        self.s2eps = start.sigma2_eps
 
         self.likelihood = not prior_only
-        self.f1 = self._curve(grid.logc1, self.m1, self.lam1)
-        self.f2 = self._curve(grid.logc2, self.m2, self.lam2)
+        self.f1 = self._curve(grid.logc1, start.m1, start.lambda1)
+        self.f2 = self._curve(grid.logc2, start.m2, start.lambda2)
         self.p0_parts = self._p0_parts(self.f1, self.f2)
-        lin = self.g0 + self.g1 * self.u1_col + self.g2 * self.u2_row
+        shift = self.shift
+        lin = start.gamma0 + start.gamma1 * shift["gamma1"] + start.gamma2 * shift["gamma2"]
         self.bpred = lin + self.basis1 @ self.C @ self.basis2.T
-        self.slopes = self._slopes(self.b1, self.b2)
+        self.slopes = self._slopes(start.b1, start.b2)
         self.link_parts = self._link_parts(self.bpred, self.slopes)
         self.quad = float(np.sum(self.prec2 * (self.C.T @ self.prec1 @ self.C)))
         self.delta, self.ss = self._fit(self.p0_parts, self.link_parts)
 
-        start_ll = self._loglik(self.ss, self.s2eps)
+        start_ll = self._loglik(self.ss, start.sigma2_eps)
         start_lp = log_prior(start, priors, spline)
         if not (math.isfinite(start_ll) and math.isfinite(start_lp)):
             raise InitializationError(
@@ -354,7 +347,7 @@ class _Sampler:
             target = TARGET_ACCEPT_SCALAR if dim == 1 else TARGET_ACCEPT_MULTI
             self.adapters[name] = AdaptiveState(
                 dim=dim, initial_scale=config.proposal_scales[name], target=target,
-                adapt_start=config.adapt_start, jitter=ADAPT_JITTER, rm_decay=RM_DECAY)
+                adapt_start=config.adapt_start)
         self.accepted = {name: 0 for name in self.adapters}
         self.proposed = {name: 0 for name in self.adapters}
 
@@ -413,136 +406,107 @@ class _Sampler:
             return 0.0
         return -0.5 * self.n_obs * math.log(2.0 * math.pi * s2eps) - ss / (2.0 * s2eps)
 
-    def _decide(self, log_a):
-        """Acceptance probability and accept/reject decision for one proposal."""
+    def _lik_ratio(self, ssc):
+        """Log-likelihood ratio of a proposal with residual sum of squares ssc."""
+        return -(ssc - self.ss) / (2.0 * self.theta[COLUMN["sigma2_eps"]])
+
+    def _normal_cost(self, name, cur, cand):
+        """Minus the log ratio of the N(0, sigma2_name) prior at cand and cur."""
+        return (cand * cand - cur * cur) / (2.0 * self.theta[COLUMN["sigma2_" + name]])
+
+    def _step(self, name, log_a, t, tc, iteration):
+        """Metropolis decision on log_a for block name, counted, with the block's
+        adaptation fed the transformed value it keeps: tc on acceptance, t
+        otherwise. A non-finite log_a rejects without drawing a uniform."""
         if not math.isfinite(log_a):
-            return 0.0, False
-        if log_a >= 0.0:
-            return 1.0, True
-        a = math.exp(log_a)
-        return a, self.rng.random() < a
+            a, ok = 0.0, False
+        elif log_a >= 0.0:
+            a, ok = 1.0, True
+        else:
+            a = math.exp(log_a)
+            ok = self.rng.random() < a
+        self.proposed[name] += 1
+        if ok:
+            self.accepted[name] += 1
+        self.adapters[name].observe(tc if ok else t, a, iteration)
+        return ok
 
     # -- block updates -----------------------------------------------------
+    # Each log ratio is summed left to right in a fixed order; the bits of the
+    # stream depend on it.
 
-    def _update_m(self, name, iteration):
-        ad = self.adapters[name]
-        first = name == "m1"
-        cur = self.m1 if first else self.m2
-        cand = cur + ad.propose_step(self.rng)
-        if first:
-            f1c, f2c = self._curve(self.grid.logc1, cand, self.lam1), self.f2
+    def _update_curve(self, name, iteration):
+        """m1, m2, lambda1 or lambda2: one drug's monotherapy curve, so p0 moves
+        and the link's denominators stay. m walks on its own scale under its
+        N(0, sigma2_m) prior; lambda walks on the log scale, where its Gamma
+        prior and the Jacobian give (cand/cur)^shape * exp(-rate * (cand - cur))."""
+        th, drug = self.theta, name[-1]
+        cur = th[COLUMN[name]]
+        if name.startswith("lambda"):
+            t = math.log(cur)
+            tc = t + self.adapters[name].propose_step(self.rng)
+            cand = _safe_exp(tc)
+            if not (math.isfinite(cand) and cand > 0.0):
+                self._step(name, -math.inf, t, tc, iteration)
+                return
+            prior = self.priors.lambda1 if drug == "1" else self.priors.lambda2
+            gain, cost = prior.shape * (tc - t), prior.rate * (cand - cur)
+            m, lam, kept = th[COLUMN["m" + drug]], cand, math.log(cand)
         else:
-            f1c, f2c = self.f1, self._curve(self.grid.logc2, cand, self.lam2)
+            t = cur
+            cand = cur + self.adapters[name].propose_step(self.rng)
+            gain, cost = 0.0, self._normal_cost(name, cur, cand)
+            m, lam, kept = cand, th[COLUMN["lambda" + drug]], cand
+        if drug == "1":
+            f1c, f2c = self._curve(self.grid.logc1, m, lam), self.f2
+        else:
+            f1c, f2c = self.f1, self._curve(self.grid.logc2, m, lam)
         p0c = self._p0_parts(f1c, f2c)
         deltac, ssc = self._fit(p0c, self.link_parts)
-        log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
-                 - (cand * cand - cur * cur) / (2.0 * self.s2phi[name]))
-        a, ok = self._decide(log_a)
-        self.proposed[name] += 1
-        if ok:
-            self.accepted[name] += 1
-            if first:
-                self.m1 = cand
-            else:
-                self.m2 = cand
+        if self._step(name, self._lik_ratio(ssc) + gain - cost, t, kept, iteration):
+            th[COLUMN[name]] = cand
             self.f1, self.f2 = f1c, f2c
             self.p0_parts, self.delta, self.ss = p0c, deltac, ssc
-        ad.observe(self.m1 if first else self.m2, a, iteration)
-
-    def _update_lambda(self, name, iteration):
-        ad = self.adapters[name]
-        prior = self.priors.lambda1 if name == "lambda1" else self.priors.lambda2
-        cur = self.lam1 if name == "lambda1" else self.lam2
-        t = math.log(cur)
-        tc = t + ad.propose_step(self.rng)
-        cand = _safe_exp(tc)
-        self.proposed[name] += 1
-        if not (math.isfinite(cand) and cand > 0.0):
-            ad.observe(t, 0.0, iteration)
-            return
-        first = name == "lambda1"
-        if first:
-            f1c, f2c = self._curve(self.grid.logc1, self.m1, cand), self.f2
-        else:
-            f1c, f2c = self.f1, self._curve(self.grid.logc2, self.m2, cand)
-        p0c = self._p0_parts(f1c, f2c)
-        deltac, ssc = self._fit(p0c, self.link_parts)
-        # Gamma prior and the log-transform Jacobian combine into
-        # (cand/cur)^shape * exp(-rate * (cand - cur)).
-        log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
-                 + prior.shape * (tc - t) - prior.rate * (cand - cur))
-        a, ok = self._decide(log_a)
-        if ok:
-            self.accepted[name] += 1
-            if first:
-                self.lam1 = cand
-            else:
-                self.lam2 = cand
-            self.f1, self.f2 = f1c, f2c
-            self.p0_parts, self.delta, self.ss = p0c, deltac, ssc
-        ad.observe(math.log(cur if not ok else cand), a, iteration)
 
     def _update_b(self, iteration):
-        ad = self.adapters["b"]
-        t = (math.log(self.b1), math.log(self.b2))
-        step = ad.propose_step(self.rng).tolist()
+        th = self.theta
+        b1, b2 = th[COLUMN["b1"]], th[COLUMN["b2"]]
+        t = (math.log(b1), math.log(b2))
+        step = self.adapters["b"].propose_step(self.rng).tolist()
         tc = (t[0] + step[0], t[1] + step[1])
         b1c, b2c = _safe_exp(tc[0]), _safe_exp(tc[1])
-        self.proposed["b"] += 1
         if not (b1c > 0.0 and b2c > 0.0 and math.isfinite(b1c) and math.isfinite(b2c)):
-            ad.observe(t, 0.0, iteration)
+            self._step("b", -math.inf, t, tc, iteration)
             return
         slopesc = self._slopes(b1c, b2c)
         linkc = self._link_parts(self.bpred, slopesc)
         deltac, ssc = self._fit(self.p0_parts, linkc)
-        log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
+        log_a = (self._lik_ratio(ssc)
                  + self.priors.b1.shape * (tc[0] - t[0])
-                 - self.priors.b1.rate * (b1c - self.b1)
+                 - self.priors.b1.rate * (b1c - b1)
                  + self.priors.b2.shape * (tc[1] - t[1])
-                 - self.priors.b2.rate * (b2c - self.b2))
-        a, ok = self._decide(log_a)
-        if ok:
-            self.accepted["b"] += 1
-            self.b1, self.b2 = b1c, b2c
+                 - self.priors.b2.rate * (b2c - b2))
+        if self._step("b", log_a, t, tc, iteration):
+            th[COLUMN["b1"]], th[COLUMN["b2"]] = b1c, b2c
             self.slopes, self.link_parts = slopesc, linkc
             self.delta, self.ss = deltac, ssc
-            ad.observe(tc, a, iteration)
-        else:
-            ad.observe(t, a, iteration)
 
     def _update_gamma(self, name, iteration):
-        ad = self.adapters[name]
-        idx = {"gamma0": 0, "gamma1": 1, "gamma2": 2}[name]
-        cur = (self.g0, self.g1, self.g2)[idx]
-        step = ad.propose_step(self.rng)
+        th = self.theta
+        cur = th[COLUMN[name]]
+        step = self.adapters[name].propose_step(self.rng)
         cand = cur + step
-        if idx == 0:
-            bpredc = self.bpred + step
-        elif idx == 1:
-            bpredc = self.bpred + step * self.u1_col
-        else:
-            bpredc = self.bpred + step * self.u2_row
+        bpredc = self.bpred + step * self.shift[name]
         linkc = self._link_parts(bpredc, self.slopes)
         deltac, ssc = self._fit(self.p0_parts, linkc)
-        log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
-                 - (cand * cand - cur * cur) / (2.0 * self.s2phi[name]))
-        a, ok = self._decide(log_a)
-        self.proposed[name] += 1
-        if ok:
-            self.accepted[name] += 1
-            if idx == 0:
-                self.g0 = cand
-            elif idx == 1:
-                self.g1 = cand
-            else:
-                self.g2 = cand
+        log_a = self._lik_ratio(ssc) - self._normal_cost(name, cur, cand)
+        if self._step(name, log_a, cur, cand, iteration):
+            th[COLUMN[name]] = cand
             self.bpred, self.link_parts = bpredc, linkc
             self.delta, self.ss = deltac, ssc
-        ad.observe((self.g0, self.g1, self.g2)[idx], a, iteration)
 
     def _update_C(self, iteration):
-        ad = self.adapters["C"]
-        step = ad.propose_step(self.rng)
+        step = self.adapters["C"].propose_step(self.rng)
         dC = step.reshape(self.C.shape)
         Cc = self.C + dC
         dspl = self.basis1 @ dC @ self.basis2.T
@@ -550,87 +514,53 @@ class _Sampler:
         linkc = self._link_parts(bpredc, self.slopes)
         deltac, ssc = self._fit(self.p0_parts, linkc)
         quadc = float((self.prec2 * (Cc.T @ self.prec1 @ Cc)).sum())
-        log_a = (-(ssc - self.ss) / (2.0 * self.s2eps)
-                 - 0.5 * (quadc - self.quad))
-        a, ok = self._decide(log_a)
-        self.proposed["C"] += 1
-        if ok:
-            self.accepted["C"] += 1
+        log_a = self._lik_ratio(ssc) - 0.5 * (quadc - self.quad)
+        if self._step("C", log_a, self.C.ravel(), Cc.ravel(), iteration):
             self.C = Cc
             self.bpred, self.link_parts = bpredc, linkc
             self.quad = quadc
             self.delta, self.ss = deltac, ssc
-        ad.observe(self.C.ravel(), a, iteration)
 
-    def _update_sigma_phi(self, block, iteration):
-        phi_name = _VARIANCE_BLOCKS[block]
-        phi = getattr(self, _PHI_ATTRIBUTES[phi_name])
+    def _update_variance(self, name, iteration):
+        """sigma2_eps or one sigma2_phi as the variance of n_terms Gaussian
+        terms with sum of squares sum_sq: an exact draw under the Inverse-Gamma
+        prior, a random walk on log sigma under the half-Cauchy prior."""
+        th, k = self.theta, COLUMN[name]
+        if name == "sigma2_eps":
+            sum_sq, n_terms = self.ss, float(self.n_obs)
+        else:
+            phi = th[COLUMN[name.removeprefix("sigma2_")]]
+            sum_sq, n_terms = phi * phi, 1.0
         if self.ig is not None:
-            shape, rate = variance_posterior_params(self.ig, phi * phi, 1.0)
-            self.s2phi[phi_name] = draw_inverse_gamma(self.rng, shape, rate)
+            shape, rate = variance_posterior_params(self.ig, sum_sq, n_terms)
+            th[k] = draw_inverse_gamma(self.rng, shape, rate)
             return
-        ad = self.adapters[block]
-        s2 = self.s2phi[phi_name]
+        s2 = th[k]
         t = 0.5 * math.log(s2)
-        tc = t + ad.propose_step(self.rng)
+        tc = t + self.adapters[name].propose_step(self.rng)
         s2c = _safe_exp(2.0 * tc)
-        self.proposed[block] += 1
         if not (math.isfinite(s2c) and s2c > 0.0):
-            ad.observe(t, 0.0, iteration)
+            self._step(name, -math.inf, t, tc, iteration)
             return
         h2 = self.hc.scale * self.hc.scale
-        log_a = (-0.5 * phi * phi * (1.0 / s2c - 1.0 / s2)
+        log_a = ((1.0 - n_terms) * (tc - t)
+                 - 0.5 * sum_sq * (1.0 / s2c - 1.0 / s2)
                  + math.log(s2 + h2) - math.log(s2c + h2))
-        a, ok = self._decide(log_a)
-        if ok:
-            self.accepted[block] += 1
-            self.s2phi[phi_name] = s2c
-            ad.observe(tc, a, iteration)
-        else:
-            ad.observe(t, a, iteration)
-
-    def _update_sigma_eps(self, iteration):
-        if self.ig is not None:
-            shape, rate = variance_posterior_params(self.ig, self.ss, float(self.n_obs))
-            self.s2eps = draw_inverse_gamma(self.rng, shape, rate)
-            return
-        ad = self.adapters["sigma2_eps"]
-        t = 0.5 * math.log(self.s2eps)
-        tc = t + ad.propose_step(self.rng)
-        s2c = _safe_exp(2.0 * tc)
-        self.proposed["sigma2_eps"] += 1
-        if not (math.isfinite(s2c) and s2c > 0.0):
-            ad.observe(t, 0.0, iteration)
-            return
-        h2 = self.hc.scale * self.hc.scale
-        log_a = ((1.0 - self.n_obs) * (tc - t)
-                 - 0.5 * self.ss * (1.0 / s2c - 1.0 / self.s2eps)
-                 + math.log(self.s2eps + h2) - math.log(s2c + h2))
-        a, ok = self._decide(log_a)
-        if ok:
-            self.accepted["sigma2_eps"] += 1
-            self.s2eps = s2c
-            ad.observe(tc, a, iteration)
-        else:
-            ad.observe(t, a, iteration)
+        if self._step(name, log_a, t, tc, iteration):
+            th[k] = s2c
 
     # -- main loop ---------------------------------------------------------
-
-    def _store_draw(self, row):
-        row[:N_SCALARS] = (self.m1, self.m2, self.lam1, self.lam2, self.b1, self.b2,
-                           self.g0, self.g1, self.g2,
-                           *(self.s2phi[name] for name in PHI_NAMES), self.s2eps)
-        row[N_SCALARS:] = self.C.ravel()
 
     def run(self) -> PosteriorChain:
         cfg = self.config
         draws = np.empty((cfg.n_retained, N_SCALARS + self.C.size))
         updates = {
-            "b": self._update_b, "C": self._update_C, "sigma2_eps": self._update_sigma_eps,
-            **{name: partial(self._update_m, name) for name in ("m1", "m2")},
-            **{name: partial(self._update_lambda, name) for name in ("lambda1", "lambda2")},
+            "b": self._update_b, "C": self._update_C,
+            **{name: partial(self._update_curve, name)
+               for name in ("m1", "m2", "lambda1", "lambda2")},
             **{name: partial(self._update_gamma, name) for name in ("gamma0", "gamma1", "gamma2")},
-            **{name: partial(self._update_sigma_phi, name) for name in _VARIANCE_BLOCKS},
+            **{name: partial(self._update_variance, name)
+               for name in BLOCK_NAMES if name.startswith("sigma2_")},
         }
         sweep = [updates[name] for name in BLOCK_NAMES if name in self.active]
         for g in range(1, cfg.burn_in + 1):
@@ -642,7 +572,9 @@ class _Sampler:
                 update(g)
             kept, rest = divmod(g - cfg.burn_in, cfg.thin)
             if rest == 0:
-                self._store_draw(draws[kept - 1])
+                row = draws[kept - 1]
+                row[:N_SCALARS] = self.theta
+                row[N_SCALARS:] = self.C.ravel()
         counts = self._counts()
         after = {name: (a - at_burn_in[name][0], n - at_burn_in[name][1])
                  for name, (a, n) in counts.items()}

@@ -141,6 +141,42 @@ def test_fit_rejects_a_non_integer_config_value(tmp_path, plate_csv, capsys):
     assert capsys.readouterr().err == "error: k1 must be an integer, not 'six'\n"
 
 
+# (summary flags, file values): fit's --config or the fit record summarize reads
+BAD_OPTIONS = {
+    "dss_threshold_1.5": (["--dss-threshold", "1.5"], {}),
+    "dss_threshold_0": (["--dss-threshold", "0"], {}),
+    "negative_tolerance": (["--bi-ec50-tolerance", "-1"], {}),
+    "fine_points_0": (["--fine-points", "0"], {}),
+    "fine_points_1": (["--fine-points", "1"], {}),
+    "string_bool": ([], {"swap_interaction_labels": "no"}),
+    "string_ridge": ([], {"ridge": "x"}),
+    "string_hc_scale": ([], {"hc_scale": "1"}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPTIONS)
+@pytest.mark.parametrize("command", ["fit", "summarize"])
+def test_bad_options_fail_before_the_plate_is_read(tmp_path, plate_csv, monkeypatch, capsys,
+                                                   command, case):
+    import combofit.cli as cli
+
+    flags, values = BAD_OPTIONS[case]
+    calls = []
+    monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.cio, "ingest_plate", lambda *a, **k: calls.append(a))
+    if command == "fit":
+        write_json(tmp_path / "config.json", values)
+        argv = ["fit", "--input", str(plate_csv), "--config", str(tmp_path / "config.json")]
+    else:
+        write_json(tmp_path / "summary.json", {"config": {**FIT_DEFAULTS, **values}})
+        argv = ["summarize", "--input", str(plate_csv),
+                "--samples", str(tmp_path / "samples.csv")]
+    assert main(argv + flags + ["--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_fit_ig_prior_flag(tmp_path, plate_csv):
     outdir = tmp_path / "fit"
     assert _fit(plate_csv, outdir, "--variance-prior", "ig",

@@ -50,8 +50,7 @@ def test_config_validation():
 
 
 def _adapter(dim, **kwargs):
-    defaults = dict(initial_scale=0.5, target=0.44, adapt_start=10,
-                    jitter=1e-6, rm_decay=0.7)
+    defaults = dict(initial_scale=0.5, target=0.44, adapt_start=10)
     defaults.update(kwargs)
     return AdaptiveState(dim=dim, **defaults)
 
@@ -261,10 +260,11 @@ def test_overflowing_proposals_are_rejected_not_fatal(small_plate):
     # they must come back as rejections, not OverflowError
     wild = ChainConfig(n_iter=300, burn_in=100, thin=1, adapt_start=10_000,
                        seed=0, proposal_scales={"b": 800.0, "lambda1": 800.0,
-                                                "sigma2_eps": 800.0})
+                                                "sigma2_eps": 800.0, "sigma2_m1": 800.0})
     chain = run_chain(small_plate, config=wild, prior_only=True)
     assert (chain.scalar_series("lambda1") > 0.0).all()
     assert np.isfinite(chain.scalar_series("sigma2_eps")).all()
+    assert np.isfinite(chain.scalar_series("sigma2_m1")).all()
     assert chain.accept_rates["b"] < 0.5
 
 
