@@ -16,13 +16,11 @@ from .errors import (CombofitError, FitConvergenceError, InitializationError,
 from .mcmc import (BLOCK_NAMES, AdaptiveState, ChainConfig, PosteriorChain,
                    chain_from_draws, run_chain, run_chains,
                    variance_posterior_params)
-from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior,
-                    ParameterState, PriorSpec, initial_state, interaction_surface,
-                    link_g, log_likelihood, log_logistic_2ll, log_prior,
-                    mean_surface, zero_interaction_surface)
+from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
+                    initial_state, log_logistic_2ll, log_prior)
 from .simulate import (SimScenario, interaction_field, normal_cdf,
                        reference_grid, sample_plate, truth_delta, truth_p0)
-from .splines import SplineSpec, basis_matrix, penalty_precision, tensor_eval
+from .splines import SplineSpec, basis_matrix, penalty_precision
 from .summaries import (SummaryReport, bi_ec50, combination_columns, dss,
                         fine_mean_surface, lpml, mse_surface, rvus,
                         summarize_chains)
@@ -30,19 +28,16 @@ from .summaries import (SummaryReport, bi_ec50, combination_columns, dss,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveState", "BASELINE_METHODS", "BLOCK_NAMES", "ChainConfig",
-    "CombofitError", "FitConvergenceError", "GammaPrior", "HalfCauchyPrior",
-    "InitializationError", "InverseGammaPrior", "LogConcGrid", "MonoFit",
-    "NumericError", "ParameterState", "PlateDataset", "PosteriorChain",
-    "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport", "SurfaceGrid",
-    "ValidationError", "ZipFit", "baseline_delta", "baseline_surface",
+    "AdaptiveState", "BASELINE_METHODS", "BLOCK_NAMES", "ChainConfig", "CombofitError",
+    "FitConvergenceError", "GammaPrior", "HalfCauchyPrior", "InitializationError",
+    "InverseGammaPrior", "LogConcGrid", "MonoFit", "NumericError", "PlateDataset",
+    "PosteriorChain", "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport",
+    "SurfaceGrid", "ValidationError", "ZipFit", "baseline_delta", "baseline_surface",
     "basis_matrix", "bi_ec50", "bliss_surface", "chain_from_draws",
-    "combination_columns", "dss",
-    "fine_mean_surface", "fit_2ll", "fit_monotherapies", "hsa_surface",
-    "initial_state", "interaction_field", "interaction_surface", "link_g",
-    "loewe_surface", "log_likelihood", "log_logistic_2ll", "log_prior", "lpml",
-    "mean_surface", "mse_surface", "normal_cdf", "penalty_precision",
-    "reference_grid", "run_chain", "run_chains", "rvus", "sample_plate",
-    "summarize_chains", "tensor_eval", "truth_delta", "truth_p0",
-    "variance_posterior_params", "zero_interaction_surface", "zip_surface",
+    "combination_columns", "dss", "fine_mean_surface", "fit_2ll", "fit_monotherapies",
+    "hsa_surface", "initial_state", "interaction_field", "loewe_surface",
+    "log_logistic_2ll", "log_prior", "lpml", "mse_surface", "normal_cdf",
+    "penalty_precision", "reference_grid", "run_chain", "run_chains", "rvus",
+    "sample_plate", "summarize_chains", "truth_delta", "truth_p0",
+    "variance_posterior_params", "zip_surface",
 ]

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 input/validation error, 2 numerical failure. Output
 files land in --outdir, the COMBOFIT_OUTDIR environment variable, or the
 working directory, in that order of precedence. Options resolve as built-in
 defaults < file values < explicit flags, where the file is fit's --config or,
-for summarize, the config block of the summary.json next to its samples CSV.
+for summarize, the config block of the summary.json next to its samples CSV;
+summarize also requires its --input to be the plate that record names by digest.
 Outputs are written under temporary names and renamed into place only once all
 of them are written, so a failed run leaves the files of an earlier run
 untouched.
@@ -18,6 +19,11 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+try:  # the builtin module: hashlib loads OpenSSL, 3.4 MiB more peak RSS per command
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    from hashlib import sha256
 
 from . import io as cio
 from .baselines import BASELINE_METHODS, baseline_delta
@@ -135,8 +141,8 @@ def _merge_options(args, file_values: dict) -> RunConfig:
 
 
 def _fit_record(samples_path) -> tuple:
-    """Path and resolved options of the fit that wrote samples_path, from the
-    config block of the summary.json next to it."""
+    """Path, resolved options and plate digest (None if absent) of the fit that
+    wrote samples_path, from the summary.json next to it."""
     path = Path(samples_path).with_name("summary.json")
     if not path.is_file():
         raise ValidationError(f"no fit record {path} next to the samples; summarize "
@@ -148,7 +154,16 @@ def _fit_record(samples_path) -> tuple:
     missing = set(FIT_DEFAULTS) - set(config)
     if missing:
         raise ValidationError(f"fit record {path} lacks config keys {sorted(missing)}")
-    return path, config
+    return path, config, record.get("plate_sha256")
+
+
+def _plate_sha256(data) -> str:
+    """sha256 of the plate's conc1, conc2 and viability as float64 bytes, so a
+    reformatted CSV of the same numbers has the same digest."""
+    digest = sha256()
+    for values in (data.conc1, data.conc2, data.viability):
+        digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 class _OutputSet:
@@ -302,6 +317,7 @@ def _cmd_fit(args) -> int:
                 values=mean[key], axis1=grid.logc1, axis2=grid.logc2, label=f"{key}_mean"))
         payload = {"config": asdict(run_cfg),
                    "input": str(args.input),
+                   "plate_sha256": _plate_sha256(data),
                    "drug_names": list(data.drug_names),
                    "n_chains": run_cfg.chains}
         payload.update(report.to_json_dict())
@@ -326,8 +342,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_summarize(args) -> int:
     outdir = _resolve_outdir(args.outdir)
-    record_path, record = _fit_record(args.samples)
+    record_path, record, fitted_sha = _fit_record(args.samples)
     run_cfg, data, grid, spline = _setup(args, record)
+    plate_sha = _plate_sha256(data)
+    if fitted_sha is None:
+        raise ValidationError(f"fit record {record_path} has no plate_sha256; refit the plate "
+                              f"to summarise its draws")
+    if fitted_sha != plate_sha:
+        raise ValidationError(f"{args.input} is not the plate of the fit record {record_path}: "
+                              f"plate_sha256 {plate_sha}, recorded {fitted_sha}")
     samples = cio.read_samples_csv(args.samples)
     if samples.coeff_shape != (spline.k1, spline.k2):
         raise ValidationError(
@@ -340,7 +363,7 @@ def _cmd_summarize(args) -> int:
     report = _summarize(chains, run_cfg)
     with _OutputSet(outdir) as out:
         payload = {"config": asdict(run_cfg), "input": str(args.input),
-                   "samples": str(args.samples)}
+                   "plate_sha256": plate_sha, "samples": str(args.samples)}
         payload.update(report.to_json_dict())
         cio.write_json(out.path("summary.json"), payload)
     return 0

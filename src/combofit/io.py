@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import PlateDataset, SurfaceGrid
 from .errors import ValidationError
-from .model import COLUMN, DRAW_SCALARS, POSITIVE_SCALARS
+from .model import DRAW_SCALARS, invalid_entry
 
 PLATE_HEADER = ["drug1_conc", "drug2_conc", "replicate", "viability"]
 TRUTH_HEADER = ["log10_drug1_conc", "log10_drug2_conc", "p0", "delta", "p"]
@@ -227,8 +227,7 @@ def write_samples_csv(path, chains):
 def read_samples_csv(path) -> Samples:
     """Read samples back, one row at a time, into a preallocated draws array.
 
-    Every value must be finite, and the variances, lambda1, lambda2, b1 and
-    b2 positive.
+    Every row must lie inside the model's domain (model.invalid_entry).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -275,14 +274,10 @@ def read_samples_csv(path) -> Samples:
     if not n:
         raise ValidationError(f"{path}: no samples")
     draws = draws[:n]
-    bad = ~np.isfinite(draws)
-    positive = [COLUMN[name] for name in POSITIVE_SCALARS]
-    bad[:, positive] |= ~(draws[:, positive] > 0.0)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        name = header[2 + col]
-        need = "finite and positive" if name in POSITIVE_SCALARS else "finite"
-        raise ValidationError(f"{path} line {lines[row]}: {name} must be {need}, "
+    invalid = invalid_entry(draws)
+    if invalid is not None:
+        row, col, need = invalid
+        raise ValidationError(f"{path} line {lines[row]}: {header[2 + col]} must be {need}, "
                               f"got {draws[row, col]!r}")
     return Samples(chain=chain[:n], draws=draws, coeff_shape=(k1, k2))
 

@@ -20,12 +20,11 @@ from functools import partial
 
 import numpy as np
 
-from .data import LogConcGrid, PlateDataset, SurfaceGrid
+from .data import LogConcGrid, PlateDataset
 from .errors import InitializationError, ValidationError
-from .model import (COLUMN, DRAW_SCALARS, EXP_CLAMP, N_SCALARS, HalfCauchyPrior,
-                    InverseGammaPrior, ParameterState, PriorSpec, SurfaceDesign,
-                    curve_values, initial_state, linear_axes, log_prior,
-                    observation_log_densities, surfaces)
+from .model import (COLUMN, EXP_CLAMP, N_SCALARS, HalfCauchyPrior, InverseGammaPrior,
+                    PriorSpec, SurfaceDesign, check_row, curve_values, initial_state,
+                    linear_axes, log_prior, observation_log_densities, surfaces)
 from .splines import SplineSpec, basis_matrix, penalty_precision
 
 BLOCK_NAMES = (
@@ -256,14 +255,6 @@ class PosteriorChain:
             raise ValidationError(f"unknown scalar series {name!r}")
         return self.draws[:, COLUMN[name]]
 
-    def coefficient_series(self) -> np.ndarray:
-        return self.draws[:, N_SCALARS:].reshape(len(self), self.spline.k1, self.spline.k2)
-
-    def posterior_mean_delta(self) -> SurfaceGrid:
-        total = sum(delta.sum(axis=0) for _, _, delta, _ in self.blocks())
-        return SurfaceGrid(values=total / len(self), axis1=self.grid.logc1,
-                           axis2=self.grid.logc2, label="delta_mean")
-
 
 class _Sampler:
     """One chain's working state and block updates."""
@@ -306,27 +297,23 @@ class _Sampler:
 
         self.rng = np.random.default_rng(np.random.SeedSequence([config.seed, chain_index]))
 
-        start = initial_state(grid, spline) if initial is None else initial
-        if start.C.shape != (spline.k1, spline.k2):
-            raise ValidationError("initial C shape does not match the spline layout")
-        values = {**vars(start), **{f"sigma2_{name}": value
-                                    for name, value in start.sigma2_phi.items()}}
-        self.theta = [values[name] for name in DRAW_SCALARS]
-        self.C = start.C.copy()
+        start = initial_state(grid, spline) if initial is None else check_row(initial, spline)
+        self.theta = start[:N_SCALARS].tolist()
+        self.C = start[N_SCALARS:].reshape(spline.k1, spline.k2).copy()
+        m1, m2, lam1, lam2, b1, b2, g0, g1, g2 = self.theta[:9]
 
         self.likelihood = not prior_only
-        self.f1 = self._curve(grid.logc1, start.m1, start.lambda1)
-        self.f2 = self._curve(grid.logc2, start.m2, start.lambda2)
+        self.f1 = self._curve(grid.logc1, m1, lam1)
+        self.f2 = self._curve(grid.logc2, m2, lam2)
         self.p0_parts = self._p0_parts(self.f1, self.f2)
-        shift = self.shift
-        lin = start.gamma0 + start.gamma1 * shift["gamma1"] + start.gamma2 * shift["gamma2"]
+        lin = g0 + g1 * self.shift["gamma1"] + g2 * self.shift["gamma2"]
         self.bpred = lin + self.basis1 @ self.C @ self.basis2.T
-        self.slopes = self._slopes(start.b1, start.b2)
+        self.slopes = self._slopes(b1, b2)
         self.link_parts = self._link_parts(self.bpred, self.slopes)
         self.quad = float(np.sum(self.prec2 * (self.C.T @ self.prec1 @ self.C)))
         self.delta, self.ss = self._fit(self.p0_parts, self.link_parts)
 
-        start_ll = self._loglik(self.ss, start.sigma2_eps)
+        start_ll = self._loglik(self.ss, self.theta[COLUMN["sigma2_eps"]])
         start_lp = log_prior(start, priors, spline)
         if not (math.isfinite(start_ll) and math.isfinite(start_lp)):
             raise InitializationError(
@@ -596,13 +583,14 @@ def _rates(counts):
 def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec = None,
               config: ChainConfig = None, linear_scale: str = "log10",
               update_blocks=None, prior_only: bool = False,
-              initial: ParameterState = None, chain_index: int = 0) -> PosteriorChain:
+              initial=None, chain_index: int = 0) -> PosteriorChain:
     """Run one adaptive Metropolis-within-Gibbs chain on a plate.
 
     update_blocks restricts sampling to a subset of BLOCK_NAMES (the rest stay
     at their starting values); prior_only drops the likelihood so the chain
-    targets the prior. Results are a deterministic function of
-    (config.seed, chain_index).
+    targets the prior. initial is the starting parameter row, in draws column
+    order (model.initial_state if None), checked by model.check_row. Results
+    are a deterministic function of (config.seed, chain_index).
     """
     priors = PriorSpec() if priors is None else priors
     config = ChainConfig() if config is None else config

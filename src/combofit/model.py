@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogConcGrid, PlateDataset, SurfaceGrid
+from .data import LogConcGrid, PlateDataset
 from .errors import ValidationError
-from .splines import SplineSpec, basis_matrix, penalty_precision, tensor_eval
+from .splines import SplineSpec, basis_matrix, penalty_precision
 
 LN10 = math.log(10.0)
 # Clamp for exp() arguments; keeps every intermediate finite in float64.
@@ -31,7 +31,8 @@ LINEAR_SCALES = ("log10", "natural")
 
 # Columns of a draws array, one row per posterior draw: these scalars in this
 # order (samples.csv adds chain and sample in front), then the k1 * k2 spline
-# coefficients of C in row-major order.
+# coefficients of C in row-major order. One such row is a parameter point, the
+# only parameter type: the sampler's state, its start and every stored draw.
 DRAW_SCALARS = (
     "m1", "m2", "lambda1", "lambda2", "b1", "b2", "gamma0", "gamma1", "gamma2",
     "sigma2_m1", "sigma2_m2", "sigma2_gamma0", "sigma2_gamma1", "sigma2_gamma2",
@@ -39,7 +40,9 @@ DRAW_SCALARS = (
 )
 COLUMN = {name: index for index, name in enumerate(DRAW_SCALARS)}
 N_SCALARS = len(DRAW_SCALARS)
-POSITIVE_SCALARS = ("lambda1", "lambda2", "b1", "b2") + DRAW_SCALARS[9:]
+VARIANCES = DRAW_SCALARS[9:]
+POSITIVE_SCALARS = ("lambda1", "lambda2", "b1", "b2") + VARIANCES
+_POSITIVE = [COLUMN[name] for name in POSITIVE_SCALARS]
 
 
 # ---------------------------------------------------------------------------
@@ -130,62 +133,7 @@ class PriorSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parameter state
-
-
-@dataclass(frozen=True)
-class ParameterState:
-    """One point in the model's parameter space."""
-
-    m1: float
-    m2: float
-    lambda1: float
-    lambda2: float
-    b1: float
-    b2: float
-    gamma0: float
-    gamma1: float
-    gamma2: float
-    C: np.ndarray
-    sigma2_phi: dict
-    sigma2_eps: float
-
-    def __post_init__(self):
-        scalars = {
-            "m1": self.m1, "m2": self.m2,
-            "gamma0": self.gamma0, "gamma1": self.gamma1, "gamma2": self.gamma2,
-        }
-        positives = {
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-            "b1": self.b1, "b2": self.b2, "sigma2_eps": self.sigma2_eps,
-        }
-        for name, value in scalars.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
-        for name, value in positives.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{name} must be finite and positive")
-        C = np.asarray(self.C, dtype=float)
-        if C.ndim != 2 or not np.all(np.isfinite(C)):
-            raise ValidationError("C must be a finite 2-D coefficient matrix")
-        if set(self.sigma2_phi) != set(PHI_NAMES):
-            raise ValidationError(f"sigma2_phi must have exactly the keys {PHI_NAMES}")
-        phi_var = {}
-        for name in PHI_NAMES:
-            value = float(self.sigma2_phi[name])
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"sigma2_phi[{name!r}] must be finite and positive")
-            phi_var[name] = value
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "sigma2_phi", phi_var)
-
-    def phi_value(self, name: str) -> float:
-        return {"m1": self.m1, "m2": self.m2, "gamma0": self.gamma0,
-                "gamma1": self.gamma1, "gamma2": self.gamma2}[name]
-
-
-# ---------------------------------------------------------------------------
-# Curves, link, surfaces
+# Curves and link
 
 
 def log_logistic_2ll(logx, m: float, lam: float):
@@ -212,29 +160,15 @@ def _clamped(values, bound):
     return np.minimum(np.maximum(values, -bound), bound)
 
 
-def zero_interaction_surface(grid: LogConcGrid, state: ParameterState) -> SurfaceGrid:
-    """Product of the two fitted monotherapy curves on the grid."""
-    f1 = log_logistic_2ll(grid.logc1, state.m1, state.lambda1)
-    f2 = log_logistic_2ll(grid.logc2, state.m2, state.lambda2)
-    return SurfaceGrid(values=np.outer(f1, f2), axis1=grid.logc1, axis2=grid.logc2,
-                       label="p0")
-
-
-def link_g(b_pred, p0, b1: float, b2: float):
-    """Bounded interaction link with range (-p0, 1 - p0).
+def link_values(b_pred, p0, b1, b2):
+    """Bounded interaction link with range (-p0, 1 - p0), unchecked; every
+    argument broadcasts against the others.
 
     g(B) = -p0 / (1 + exp(b1 * B)) + (1 - p0) / (1 + exp(-b2 * B)); adding it
     to p0 therefore keeps the mean surface inside (0, 1). b1 and b2 control
     how fast each bound is approached; with b1 = b2 = b the combined surface
     p0 + g(B) collapses to the logistic 1 / (1 + exp(-b * B)).
     """
-    if not (math.isfinite(b1) and b1 > 0.0 and math.isfinite(b2) and b2 > 0.0):
-        raise ValidationError("b1 and b2 must be finite and positive")
-    return link_values(np.asarray(b_pred, dtype=float), np.asarray(p0, dtype=float), b1, b2)
-
-
-def link_values(b_pred, p0, b1, b2):
-    """Unchecked link_g; every argument broadcasts against the others."""
     z1 = _clamped(b1 * b_pred, EXP_CLAMP)
     z2 = _clamped(-b2 * b_pred, EXP_CLAMP)
     return -p0 / (1.0 + np.exp(z1)) + (1.0 - p0) / (1.0 + np.exp(z2))
@@ -251,30 +185,8 @@ def linear_axes(grid: LogConcGrid, linear_scale: str = "log10"):
     return _linear_axis(grid.logc1, linear_scale), _linear_axis(grid.logc2, linear_scale)
 
 
-def interaction_surface(grid: LogConcGrid, state: ParameterState, spline: SplineSpec,
-                        linear_scale: str = "log10") -> SurfaceGrid:
-    """Delta surface: link of the latent predictor
-    B_ij = gamma0 + gamma1 u1_i + gamma2 u2_j + spline part, zero on the
-    no-drug borders."""
-    u1, u2 = linear_axes(grid, linear_scale)
-    spline_part = tensor_eval(basis_matrix(grid.logc1, spline.knots1, spline.degree), state.C,
-                              basis_matrix(grid.logc2, spline.knots2, spline.degree))
-    b_pred = state.gamma0 + state.gamma1 * u1[:, None] + state.gamma2 * u2[None, :] + spline_part
-    p0 = zero_interaction_surface(grid, state).values
-    delta = link_g(b_pred, p0, state.b1, state.b2) * grid.border_mask()
-    return SurfaceGrid(values=delta, axis1=grid.logc1, axis2=grid.logc2, label="delta")
-
-
-def mean_surface(grid: LogConcGrid, state: ParameterState, spline: SplineSpec,
-                 linear_scale: str = "log10") -> SurfaceGrid:
-    """Modelled mean viability p = p0 + Delta; lies in (0, 1) by construction."""
-    p0 = zero_interaction_surface(grid, state).values
-    delta = interaction_surface(grid, state, spline, linear_scale).values
-    return SurfaceGrid(values=p0 + delta, axis1=grid.logc1, axis2=grid.logc2, label="p")
-
-
 # ---------------------------------------------------------------------------
-# The same surfaces for every row of a draws array
+# Surfaces of every row of a draws array
 
 
 @dataclass(frozen=True)
@@ -391,14 +303,6 @@ def observation_log_densities(data: PlateDataset, p_values: np.ndarray,
     return -0.5 * np.log(2.0 * math.pi * sigma2) - resid * resid / (2.0 * sigma2)
 
 
-def log_likelihood(data: PlateDataset, p, sigma2_eps: float) -> float:
-    """Total Gaussian log likelihood of the plate under mean surface p."""
-    values = p.values if isinstance(p, SurfaceGrid) else np.asarray(p, dtype=float)
-    if values.shape != data.viability.shape[:2]:
-        raise ValidationError("mean surface shape does not match the plate grid")
-    return float(observation_log_densities(data, values, sigma2_eps).sum())
-
-
 def normal_log_density(x: float, sigma2: float) -> float:
     return -0.5 * math.log(2.0 * math.pi * sigma2) - x * x / (2.0 * sigma2)
 
@@ -423,39 +327,66 @@ def matrix_normal_log_density(C: np.ndarray, prec_rows: np.ndarray,
             - 0.5 * quad)
 
 
-def log_prior(state: ParameterState, priors: PriorSpec, spline: SplineSpec) -> float:
-    """Joint log prior density of a parameter state.
+def log_prior(row, priors: PriorSpec, spline: SplineSpec) -> float:
+    """Joint log prior density of a parameter row, checked by check_row.
 
     Half-Cauchy variance priors are densities on the sigma scale; the
     Inverse-Gamma alternative is a density on the variance itself. C uses the
     second-difference penalty precisions of the spline layout.
     """
+    row = check_row(row, spline)
     total = 0.0
     for name in PHI_NAMES:
-        total += normal_log_density(state.phi_value(name), state.sigma2_phi[name])
-    total += priors.lambda1.log_density(state.lambda1)
-    total += priors.lambda2.log_density(state.lambda2)
-    total += priors.b1.log_density(state.b1)
-    total += priors.b2.log_density(state.b2)
-    if state.C.shape != (spline.k1, spline.k2):
-        raise ValidationError("C shape does not match the spline layout")
+        total += normal_log_density(row[COLUMN[name]], row[COLUMN["sigma2_" + name]])
+    for name in ("lambda1", "lambda2", "b1", "b2"):
+        total += getattr(priors, name).log_density(row[COLUMN[name]])
     prec1 = penalty_precision(spline.k1, spline.penalty_ridge)
     prec2 = penalty_precision(spline.k2, spline.penalty_ridge)
-    total += matrix_normal_log_density(state.C, prec1, prec2)
-    for name in PHI_NAMES:
-        total += priors.variance_log_density(state.sigma2_phi[name])
-    total += priors.variance_log_density(state.sigma2_eps)
-    return total
+    total += matrix_normal_log_density(row[N_SCALARS:].reshape(spline.k1, spline.k2),
+                                       prec1, prec2)
+    for name in VARIANCES:
+        total += priors.variance_log_density(row[COLUMN[name]])
+    return float(total)
 
 
-def initial_state(grid: LogConcGrid, spline: SplineSpec) -> ParameterState:
-    """Default chain start: informative p0 (EC50 mid-range, unit slopes), null Delta."""
-    return ParameterState(
-        m1=float(0.5 * (grid.logc1[0] + grid.logc1[-1])),
-        m2=float(0.5 * (grid.logc2[0] + grid.logc2[-1])),
-        lambda1=1.0, lambda2=1.0, b1=1.0, b2=1.0,
-        gamma0=0.0, gamma1=0.0, gamma2=0.0,
-        C=np.zeros((spline.k1, spline.k2)),
-        sigma2_phi={name: 0.01 for name in PHI_NAMES},
-        sigma2_eps=0.01,
-    )
+# ---------------------------------------------------------------------------
+# Parameter rows
+
+
+def invalid_entry(draws: np.ndarray):
+    """(row, column, requirement) of the first entry of a 2-D draws array
+    outside the model's domain, or None: every value must be finite, and the
+    POSITIVE_SCALARS columns positive."""
+    bad = ~np.isfinite(draws)
+    bad[:, _POSITIVE] |= ~(draws[:, _POSITIVE] > 0.0)
+    if not bad.any():
+        return None
+    row, col = np.argwhere(bad)[0]
+    return row, col, "finite and positive" if col in _POSITIVE else "finite"
+
+
+def check_row(row, spline: SplineSpec) -> np.ndarray:
+    """row as a float array if it is a parameter point of the spline layout:
+    N_SCALARS + k1 * k2 entries, none of them an invalid_entry."""
+    row = np.asarray(row, dtype=float)
+    size = N_SCALARS + spline.k1 * spline.k2
+    if row.shape != (size,):
+        raise ValidationError(f"a parameter row of the {spline.k1} x {spline.k2} spline "
+                              f"layout has {size} entries, not shape {row.shape}")
+    invalid = invalid_entry(row[None])
+    if invalid is not None:
+        _, col, need = invalid
+        name = DRAW_SCALARS[col] if col < N_SCALARS else f"C entry {col - N_SCALARS}"
+        raise ValidationError(f"{name} must be {need}, got {float(row[col])!r}")
+    return row
+
+
+def initial_state(grid: LogConcGrid, spline: SplineSpec) -> np.ndarray:
+    """Default chain start as a parameter row: informative p0 (EC50 mid-range,
+    unit slopes), null Delta (gamma and C zero) and every variance 0.01."""
+    start = {"m1": 0.5 * (grid.logc1[0] + grid.logc1[-1]),
+             "m2": 0.5 * (grid.logc2[0] + grid.logc2[-1]),
+             "lambda1": 1.0, "lambda2": 1.0, "b1": 1.0, "b2": 1.0,
+             **dict.fromkeys(VARIANCES, 0.01)}
+    return np.array([start.get(name, 0.0) for name in DRAW_SCALARS]
+                    + [0.0] * (spline.k1 * spline.k2))

@@ -65,12 +65,6 @@ class SplineSpec:
         return cls(k1=k1, k2=k2, knots1=knots1, knots2=knots2,
                    degree=degree, penalty_ridge=penalty_ridge)
 
-    def domain1(self):
-        return self.knots1[self.degree], self.knots1[-self.degree - 1]
-
-    def domain2(self):
-        return self.knots2[self.degree], self.knots2[-self.degree - 1]
-
 
 def basis_matrix(points, knots, degree: int = 3) -> np.ndarray:
     """Evaluate every B-spline basis function at the given points.
@@ -92,17 +86,6 @@ def basis_matrix(points, knots, degree: int = 3) -> np.ndarray:
     basis = ((-1.0) ** (degree + 1)) * trunc @ diff.T
     basis[basis < _SUPPORT_SNAP] = 0.0
     return basis
-
-
-def tensor_eval(basis1: np.ndarray, coeff: np.ndarray, basis2: np.ndarray) -> np.ndarray:
-    """Tensor-product surface sum_lm C[l, m] B1_l(x) B2_m(y) on the grid."""
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (basis1.shape[1], basis2.shape[1]):
-        raise ValidationError(
-            f"coefficient shape {coeff.shape} does not match bases "
-            f"({basis1.shape[1]}, {basis2.shape[1]})"
-        )
-    return basis1 @ coeff @ basis2.T
 
 
 def second_difference(n: int) -> np.ndarray:

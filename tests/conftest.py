@@ -1,8 +1,15 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from combofit import (ChainConfig, LogConcGrid, PlateDataset, SplineSpec,
                       run_chain)
+
+# perfbench/reference.py recomputes the model with numerics of its own and
+# imports no combofit, so tests can use it as an oracle
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 def pytest_collection_modifyitems(items):

@@ -21,8 +21,8 @@ from combofit import (ChainConfig, PlateDataset, PriorSpec, SimScenario,
 from combofit.baselines import fit_monotherapies
 from combofit.cli import main
 from combofit.data import LogConcGrid
-from combofit.model import (InverseGammaPrior, initial_state, link_g,
-                            mean_surface)
+from combofit.model import (COLUMN, N_SCALARS, InverseGammaPrior, SurfaceDesign,
+                            initial_state, link_values, surfaces)
 from combofit.simulate import interaction_field, reference_grid
 from combofit.splines import SplineSpec, basis_matrix, penalty_precision
 from combofit.summaries import (combination_columns, dss, lpml, mse_surface,
@@ -49,7 +49,8 @@ def _fit(scenario, priors=None):
 
 
 def _mse_delta(chain, truth):
-    return mse_surface(chain.posterior_mean_delta(), truth["delta"])
+    total = sum(delta.sum(axis=0) for _, _, delta, _ in chain.blocks())
+    return mse_surface(total / len(chain), truth["delta"])
 
 
 @pytest.fixture(scope="session")
@@ -162,7 +163,7 @@ def prior_series():
              "gamma0", "gamma1", "gamma2", "sigma2_m1", "sigma2_m2",
              "sigma2_gamma0", "sigma2_gamma1", "sigma2_gamma2", "sigma2_eps")
     series = {name: chain.scalar_series(name)[::20] for name in names}
-    coef = chain.coefficient_series()[::20]
+    coef = chain.draws[:, N_SCALARS:].reshape(len(chain), 6, 6)[::20]
     prec = penalty_precision(6, 1e-4)
     series["C_quad"] = np.einsum("sij,sij->s", coef @ prec,
                                  np.einsum("ij,sjk->sik", prec, coef))
@@ -198,7 +199,9 @@ def test_06b_conjugate_draws():
     # posterior is the prior updated by counts alone: IG(3 + 110/2, 2)
     grid = reference_grid()
     spline = SplineSpec.for_grid(grid)
-    p = mean_surface(grid, initial_state(grid, spline), spline).values
+    # B is exactly 0 at the initial row, so p = p0 + Delta has no interaction
+    p0, delta = surfaces(initial_state(grid, spline)[None], SurfaceDesign.on_grid(grid, spline))
+    p = (p0 + delta)[0]
     conc1 = np.concatenate(([0.0], 10.0 ** grid.logc1[1:]))
     conc2 = np.concatenate(([0.0], 10.0 ** grid.logc2[1:]))
     plate = PlateDataset(conc1=conc1, conc2=conc2, viability=p[:, :, None])
@@ -234,14 +237,17 @@ def db_run():
     grid = LogConcGrid.from_dataset(probe)
     np.testing.assert_array_equal(grid.logc1, DB_LOGC)
     init = initial_state(grid, SplineSpec.for_grid(grid))
-    assert (init.m2, init.lambda2, init.b1, init.b2) == (-1.0, 1.0, 1.0, 1.0)
-    assert (init.gamma0, init.gamma1, init.gamma2) == (0.0, 0.0, 0.0)
-    assert init.sigma2_eps == init.sigma2_phi["m1"] == 0.01
+    m2, lambda2, b1, b2, gamma0, gamma1, gamma2, sigma2_eps, sigma2_m1 = (
+        init[COLUMN[name]] for name in ("m2", "lambda2", "b1", "b2", "gamma0", "gamma1",
+                                        "gamma2", "sigma2_eps", "sigma2_m1"))
+    assert (m2, lambda2, b1, b2) == (-1.0, 1.0, 1.0, 1.0)
+    assert (gamma0, gamma1, gamma2) == (0.0, 0.0, 0.0)
+    assert sigma2_eps == sigma2_m1 == 0.01
 
     interior = (np.arange(6)[:, None] >= 1) & (np.arange(6)[None, :] >= 1)
     p_star = np.where(interior, 0.5,
                       np.outer(_db_curve(DB_LOGC, -0.5, 0.9),
-                               _db_curve(DB_LOGC, init.m2, init.lambda2)))
+                               _db_curve(DB_LOGC, m2, lambda2)))
     rng = np.random.default_rng(77)
     y = p_star[:, :, None] + 0.1 * rng.standard_normal((6, 6, 2))
     plate = PlateDataset(conc1=conc, conc2=conc, viability=y)
@@ -321,15 +327,14 @@ def test_07_analytic_suite():
         b1, b2 = rng.uniform(0.05, 10.0, size=2)
         b_pred = rng.uniform(-3.0, 3.0, size=1000)
         p0 = rng.uniform(0.001, 0.999, size=1000)
-        g = link_g(b_pred, p0, b1, b2)
+        g = link_values(b_pred, p0, b1, b2)
         if not (np.all(g > -p0) and np.all(g < 1.0 - p0)):
             failures.append("link range")
             break
     # B-spline bases sum to one everywhere inside the domain
     spline = SplineSpec.for_grid(reference_grid())
-    for knots, (lo, hi) in ((spline.knots1, spline.domain1()),
-                            (spline.knots2, spline.domain2())):
-        x = np.linspace(lo, hi, 2001)
+    for knots in (spline.knots1, spline.knots2):
+        x = np.linspace(knots[spline.degree], knots[-spline.degree - 1], 2001)
         if np.abs(basis_matrix(x, knots, spline.degree).sum(axis=1) - 1.0).max() > 1e-12:
             failures.append("spline partition of unity")
     # two identical unit-slope drugs at their EC50s: Loewe gives y = 1/3

@@ -213,7 +213,8 @@ def test_summarize_matches_fit(tmp_path, plate_csv, fit_flags):
     summary = read_json(summ_dir / "summary.json")
     # one summary path over the same draws under the same model: the scores
     # agree exactly, and summarize records the options it used
-    for key in ("config", "n_samples", "lpml", "dss", "rvus", "bi_ec50_points"):
+    for key in ("config", "plate_sha256", "n_samples", "lpml", "dss", "rvus",
+                "bi_ec50_points"):
         assert summary[key] == fit_summary[key]
 
 
@@ -229,7 +230,7 @@ def test_summarize_rejects_a_different_coefficient_layout(tmp_path, plate_csv, c
     assert "6 x 6 coefficient matrix" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("record", ["missing", "without_config"])
+@pytest.mark.parametrize("record", ["missing", "without_config", "without_plate_sha256"])
 def test_summarize_needs_the_fit_record(tmp_path, plate_csv, monkeypatch, capsys, record):
     import combofit.cli as cli
 
@@ -238,9 +239,9 @@ def test_summarize_needs_the_fit_record(tmp_path, plate_csv, monkeypatch, capsys
     alone = tmp_path / "alone"
     alone.mkdir()
     (alone / "samples.csv").write_bytes((fit_dir / "samples.csv").read_bytes())
-    if record == "without_config":
+    if record != "missing":
         summary = read_json(fit_dir / "summary.json")
-        del summary["config"]
+        del summary[record.removeprefix("without_")]
         write_json(alone / "summary.json", summary)
     parsed = []
     monkeypatch.setattr(cli.cio, "read_samples_csv", lambda *a: parsed.append(a))
@@ -252,6 +253,41 @@ def test_summarize_needs_the_fit_record(tmp_path, plate_csv, monkeypatch, capsys
     assert err.count("error:") == 1 and err.startswith("error:")
     assert str(alone / "summary.json") in err
     assert parsed == []
+
+
+def test_summarize_checks_the_plate_before_reading_samples(tmp_path, monkeypatch, capsys):
+    import combofit.cli as cli
+
+    # two plates on the same grid, from different data seeds
+    plates = []
+    for seed in ("1", "2"):
+        assert main(["simulate", "--scenario", "3", "--seed", seed,
+                     "--outdir", str(tmp_path / f"sim{seed}")]) == 0
+        plates.append(tmp_path / f"sim{seed}" / "plate.csv")
+    fit_dir = tmp_path / "fit"
+    assert _fit(plates[0], fit_dir) == 0
+    parsed = []
+    monkeypatch.setattr(cli.cio, "read_samples_csv", lambda *a: parsed.append(a))
+    capsys.readouterr()
+    assert main(["summarize", "--input", str(plates[1]), "--samples",
+                 str(fit_dir / "samples.csv"), "--outdir", str(tmp_path / "summ")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not the plate of the fit record" in err
+    assert parsed == []
+    assert not (tmp_path / "summ" / "summary.json").exists()
+    monkeypatch.undo()
+
+    # the fitted plate's numbers in another row order and float format still match
+    header, *rows = plates[0].read_text().splitlines()
+    same = tmp_path / "same.csv"
+    same.write_text("\n".join([header] + [
+        ",".join(cell if k == 2 else f"{float(cell):.16e}" for k, cell in enumerate(row.split(",")))
+        for row in reversed(rows)]) + "\n")
+    assert main(["summarize", "--input", str(same), "--samples", str(fit_dir / "samples.csv"),
+                 "--outdir", str(tmp_path / "same_summ")]) == 0
+    assert (read_json(tmp_path / "same_summ" / "summary.json")["plate_sha256"]
+            == read_json(fit_dir / "summary.json")["plate_sha256"])
 
 
 def test_summarize_groups_interleaved_chain_rows(tmp_path, plate_csv):

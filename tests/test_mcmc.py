@@ -10,8 +10,8 @@ from combofit import (AdaptiveState, ChainConfig, InitializationError,
                       chain_from_draws, initial_state, run_chain, run_chains,
                       variance_posterior_params)
 from combofit.mcmc import BLOCK_NAMES, _Sampler, draw_inverse_gamma
-from combofit.model import (DRAW_SCALARS, LINEAR_SCALES, POSITIVE_SCALARS, SurfaceDesign,
-                            mean_surface, surfaces)
+from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
+                            SurfaceDesign, surfaces)
 
 TINY = ChainConfig(n_iter=100, burn_in=50, thin=5, seed=3)
 
@@ -156,8 +156,9 @@ def test_conjugate_sigma_eps_draws_match_closed_form(small_plate, small_grid,
                                                      small_spline):
     # with y == p bitwise the residual sum is zero, so the Gibbs draws are
     # iid from the prior-plus-count posterior IG(1 + N/2, 1)
-    state = initial_state(small_grid, small_spline)
-    p = mean_surface(small_grid, state, small_spline).values
+    p0, delta = surfaces(initial_state(small_grid, small_spline)[None],
+                         SurfaceDesign.on_grid(small_grid, small_spline))
+    p = (p0 + delta)[0]
     plate = replace(small_plate,
                     viability=np.repeat(p[:, :, None], 2, axis=2))
     priors = PriorSpec(variance_prior=InverseGammaPrior(1.0, 1.0))
@@ -183,10 +184,7 @@ def test_chain_bookkeeping_shapes(small_plate):
     assert p0.shape == delta.shape == (10, 5, 4)
     assert ld.shape == (10, 40)
     assert chain.scalar_series("m1").shape == (10,)
-    assert chain.coefficient_series().shape == (10, 6, 6)
     assert chain.draws.shape == (10, len(DRAW_SCALARS) + 36)
-    np.testing.assert_array_equal(chain.coefficient_series()[3].ravel(),
-                                  chain.draws[3, len(DRAW_SCALARS):])
     assert chain.chain_index == 0
     assert chain.data is small_plate
     assert set(chain.accept_rates_after_burn_in) == set(chain.accept_rates)
@@ -279,16 +277,41 @@ def test_frozen_blocks_stay_at_start(small_plate, small_grid, small_spline):
     chain = run_chain(small_plate, config=TINY, update_blocks=("m1", "lambda1"))
     start = initial_state(small_grid, small_spline)
     np.testing.assert_array_equal(chain.scalar_series("m2"),
-                                  np.full(10, start.m2))
+                                  np.full(10, start[COLUMN["m2"]]))
     np.testing.assert_array_equal(chain.scalar_series("gamma0"), np.zeros(10))
-    assert np.abs(chain.scalar_series("m1") - start.m1).max() > 0.0
+    assert np.abs(chain.scalar_series("m1") - start[COLUMN["m1"]]).max() > 0.0
 
 
 def test_initialization_error_on_degenerate_start(small_plate, small_grid,
                                                   small_spline):
-    bad = replace(initial_state(small_grid, small_spline), sigma2_eps=1e-320)
+    bad = initial_state(small_grid, small_spline)
+    bad[COLUMN["sigma2_eps"]] = 1e-320
     with pytest.raises(InitializationError):
         run_chain(small_plate, config=TINY, initial=bad)
+
+
+def test_initial_row_is_checked_before_any_sweep(small_plate, small_grid, small_spline,
+                                                 monkeypatch):
+    monkeypatch.setattr(_Sampler, "run", lambda self: pytest.fail("the chain swept"))
+    start = initial_state(small_grid, small_spline)
+    # each bad row, keyed by what its error message names
+    bad_rows = {"entries": start[:-1]}
+    for name, column, value in (("m1", COLUMN["m1"], math.nan), ("b1", COLUMN["b1"], 0.0),
+                                ("sigma2_gamma1", COLUMN["sigma2_gamma1"], -1.0),
+                                ("C entry 5", N_SCALARS + 5, math.inf)):
+        bad_rows[name] = start.copy()
+        bad_rows[name][column] = value
+    for what, row in bad_rows.items():
+        with pytest.raises(ValidationError, match=what):
+            run_chain(small_plate, config=TINY, initial=row)
+
+
+def test_explicit_default_start_keeps_the_stream(small_plate, small_grid, small_spline):
+    default = run_chain(small_plate, config=TINY)
+    explicit = run_chain(small_plate, config=TINY,
+                         initial=initial_state(small_grid, small_spline))
+    np.testing.assert_array_equal(explicit.draws, default.draws)
+    assert explicit.accept_rates == default.accept_rates
 
 
 # ---------------------------------------------------------------------------

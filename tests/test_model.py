@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,20 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from combofit import (GammaPrior, HalfCauchyPrior, InverseGammaPrior,
-                      ParameterState, PriorSpec, SimScenario, SplineSpec,
-                      ValidationError, initial_state, link_g, log_likelihood,
+from combofit import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
+                      SimScenario, SplineSpec, ValidationError, initial_state,
                       log_logistic_2ll, log_prior, reference_grid, sample_plate)
-from combofit.model import (COLUMN, LINEAR_SCALES, PHI_NAMES, SurfaceDesign,
-                            interaction_surface, linear_axes,
-                            matrix_normal_log_density, mean_surface,
-                            normal_log_density, observation_log_densities,
-                            summed_mean_surface, surfaces, zero_interaction_surface)
+from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, VARIANCES,
+                            SurfaceDesign, linear_axes, link_values,
+                            matrix_normal_log_density, normal_log_density,
+                            observation_log_densities, summed_mean_surface, surfaces)
 from combofit.splines import penalty_precision
 
+import reference  # perfbench's oracle, which imports no combofit
 
-def _state(grid, spline, **overrides):
-    return replace(initial_state(grid, spline), **overrides)
+
+def _row(grid, spline, C=None, **scalars):
+    """The initial row with some scalars and the coefficients C replaced."""
+    row = initial_state(grid, spline)
+    for name, value in scalars.items():
+        row[COLUMN[name]] = value
+    if C is not None:
+        row[N_SCALARS:] = C.ravel()
+    return row
+
+
+def _mean(grid, spline, row):
+    """Mean surface p0 + Delta of one parameter row on the grid."""
+    p0, delta = surfaces(row[None], SurfaceDesign.on_grid(grid, spline))
+    return (p0 + delta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +73,12 @@ def test_curve_rejects_bad_slope():
 
 def test_link_hand_value():
     # g(0) = -p0/2 + (1 - p0)/2 = 0.5 - p0 = 0.2 at p0 = 0.3
-    assert link_g(0.0, 0.3, 1.0, 1.0) == pytest.approx(0.2, abs=1e-15)
+    assert link_values(0.0, 0.3, 1.0, 1.0) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_link_limits():
-    assert link_g(60.0, 0.3, 1.0, 1.0) == pytest.approx(0.7, abs=1e-12)
-    assert link_g(-60.0, 0.3, 1.0, 1.0) == pytest.approx(-0.3, abs=1e-12)
+    assert link_values(60.0, 0.3, 1.0, 1.0) == pytest.approx(0.7, abs=1e-12)
+    assert link_values(-60.0, 0.3, 1.0, 1.0) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_link_range_is_open_interval():
@@ -74,7 +86,7 @@ def test_link_range_is_open_interval():
     b_pred = rng.uniform(-3.0, 3.0, 20000)
     p0 = rng.uniform(0.001, 0.999, 20000)
     for b1, b2 in ((0.5, 2.0), (1.0, 1.0), (4.0, 0.2)):
-        g = link_g(b_pred, p0, b1, b2)
+        g = link_values(b_pred, p0, b1, b2)
         assert (g > -p0).all()
         assert (g < 1.0 - p0).all()
 
@@ -84,20 +96,15 @@ def test_link_collapses_to_logistic_when_slopes_match():
     b_pred = rng.uniform(-10.0, 10.0, 500)
     p0 = rng.uniform(0.01, 0.99, 500)
     for b in (0.3, 1.0, 2.7):
-        combined = p0 + link_g(b_pred, p0, b, b)
+        combined = p0 + link_values(b_pred, p0, b, b)
         logistic = 1.0 / (1.0 + np.exp(-b * b_pred))
         np.testing.assert_allclose(combined, logistic, atol=1e-12)
 
 
 def test_link_monotone_in_predictor():
     b_pred = np.linspace(-8.0, 8.0, 400)
-    g = link_g(b_pred, 0.4, 0.7, 1.3)
+    g = link_values(b_pred, 0.4, 0.7, 1.3)
     assert (np.diff(g) > 0.0).all()
-
-
-def test_link_rejects_bad_slopes():
-    with pytest.raises(ValidationError):
-        link_g(0.0, 0.5, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +112,19 @@ def test_link_rejects_bad_slopes():
 
 
 def test_zero_interaction_is_outer_product(small_grid, small_spline):
-    state = initial_state(small_grid, small_spline)
-    p0 = zero_interaction_surface(small_grid, state)
-    f1 = log_logistic_2ll(small_grid.logc1, state.m1, state.lambda1)
-    f2 = log_logistic_2ll(small_grid.logc2, state.m2, state.lambda2)
-    np.testing.assert_array_equal(p0.values, np.outer(f1, f2))
+    row = initial_state(small_grid, small_spline)
+    p0, _ = surfaces(row[None], SurfaceDesign.on_grid(small_grid, small_spline))
+    f1 = log_logistic_2ll(small_grid.logc1, row[COLUMN["m1"]], row[COLUMN["lambda1"]])
+    f2 = log_logistic_2ll(small_grid.logc2, row[COLUMN["m2"]], row[COLUMN["lambda2"]])
+    np.testing.assert_array_equal(p0[0], np.outer(f1, f2))
 
 
 def test_interaction_surface_vanishes_on_borders(small_grid, small_spline):
     rng = np.random.default_rng(31)
-    state = _state(small_grid, small_spline, gamma0=0.8, gamma1=-0.2,
-                   C=rng.standard_normal((small_spline.k1, small_spline.k2)))
-    delta = interaction_surface(small_grid, state, small_spline).values
+    row = _row(small_grid, small_spline, gamma0=0.8, gamma1=-0.2,
+               C=rng.standard_normal((small_spline.k1, small_spline.k2)))
+    _, delta = surfaces(row[None], SurfaceDesign.on_grid(small_grid, small_spline))
+    delta = delta[0]
     assert (delta[0, :] == 0.0).all()
     assert (delta[:, 0] == 0.0).all()
     assert np.abs(delta[1:, 1:]).max() > 0.0
@@ -125,12 +133,12 @@ def test_interaction_surface_vanishes_on_borders(small_grid, small_spline):
 def test_mean_surface_stays_in_unit_interval(small_grid, small_spline):
     rng = np.random.default_rng(37)
     for _ in range(20):
-        state = _state(small_grid, small_spline,
-                       gamma0=float(rng.normal(scale=3.0)),
-                       gamma1=float(rng.normal(scale=1.0)),
-                       gamma2=float(rng.normal(scale=1.0)),
-                       C=rng.standard_normal((small_spline.k1, small_spline.k2)) * 2.0)
-        p = mean_surface(small_grid, state, small_spline).values
+        row = _row(small_grid, small_spline,
+                   gamma0=float(rng.normal(scale=3.0)),
+                   gamma1=float(rng.normal(scale=1.0)),
+                   gamma2=float(rng.normal(scale=1.0)),
+                   C=rng.standard_normal((small_spline.k1, small_spline.k2)) * 2.0)
+        p = _mean(small_grid, small_spline, row)
         assert (p > 0.0).all()
         assert (p < 1.0).all()
 
@@ -149,18 +157,13 @@ def test_linear_axes_scales(small_grid):
 # Surfaces of every row of a draws array
 
 GRID = reference_grid()
-
-
-def _draw_row(state):
-    return np.array([state.m1, state.m2, state.lambda1, state.lambda2, state.b1, state.b2,
-                     state.gamma0, state.gamma1, state.gamma2,
-                     *(state.sigma2_phi[name] for name in PHI_NAMES), state.sigma2_eps,
-                     *state.C.ravel()])
+# the reference grid as the oracle's plate: log10 axes and border mask
+ORACLE_PLATE = SimpleNamespace(logc1=GRID.logc1, logc2=GRID.logc2, mask=GRID.border_mask())
 
 
 @st.composite
 def _posterior(draw):
-    """Random states, spline layout and linear scale on the reference grid.
+    """Random draws, spline layout and linear scale on the reference grid.
 
     Under the natural scale the linear terms multiply concentrations up to
     3e5, so gamma1 and gamma2 are drawn on the scale of 1 / max concentration,
@@ -173,42 +176,38 @@ def _posterior(draw):
     u_max = 1.0 if scale == "log10" else 10.0 ** max(GRID.logc1[-1], GRID.logc2[-1])
     real = st.floats(-3.0, 3.0)
     positive = st.floats(0.05, 5.0)
-    states = []
-    for _ in range(draw(st.integers(1, 4))):
-        states.append(ParameterState(
-            m1=draw(real), m2=draw(real), lambda1=draw(positive), lambda2=draw(positive),
-            b1=draw(positive), b2=draw(positive), gamma0=draw(real),
-            gamma1=draw(real) / u_max, gamma2=draw(real) / u_max,
-            C=np.array([[draw(real) for _ in range(k2)] for _ in range(k1)]),
-            sigma2_phi={name: draw(positive) for name in PHI_NAMES},
-            sigma2_eps=draw(st.floats(1e-3, 1.0))))
-    return states, spline, scale
+    value = {"gamma1": real.map(lambda x: x / u_max), "gamma2": real.map(lambda x: x / u_max),
+             "sigma2_eps": st.floats(1e-3, 1.0),
+             **dict.fromkeys(("m1", "m2", "gamma0"), real),
+             **dict.fromkeys(("lambda1", "lambda2", "b1", "b2", *VARIANCES[:-1]), positive)}
+    draws = np.array([[draw(value[name]) for name in DRAW_SCALARS]
+                      + [draw(real) for _ in range(k1 * k2)]
+                      for _ in range(draw(st.integers(1, 4)))])
+    return draws, spline, scale
 
 
 @settings(max_examples=60, deadline=None)
 @given(_posterior())
 def test_batched_surfaces_match_per_state_surfaces(posterior):
-    states, spline, scale = posterior
-    draws = np.stack([_draw_row(state) for state in states])
+    draws, spline, scale = posterior
     p0, delta = surfaces(draws, SurfaceDesign.on_grid(GRID, spline, scale))
-    for k, state in enumerate(states):
-        np.testing.assert_allclose(p0[k], zero_interaction_surface(GRID, state).values,
-                                   rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            delta[k], interaction_surface(GRID, state, spline, scale).values,
-            rtol=0.0, atol=1e-12)
+    layout = reference.Layout(ORACLE_PLATE, spline.k1, spline.k2, spline.degree, scale)
+    want_p0, want_delta = layout.surfaces(
+        {name: draws[:, COLUMN[name]] for name in DRAW_SCALARS},
+        draws[:, N_SCALARS:].reshape(-1, spline.k1, spline.k2))
+    np.testing.assert_allclose(p0, want_p0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(delta, want_delta, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_posterior())
 def test_batched_log_densities_and_fine_sum_match_per_draw(posterior):
-    states, spline, scale = posterior
+    draws, spline, scale = posterior
     data, _ = sample_plate(SimScenario(3, seed=4))
-    draws = np.stack([_draw_row(state) for state in states])
     p0, delta = surfaces(draws, SurfaceDesign.on_grid(GRID, spline, scale))
     ld = observation_log_densities(data, p0 + delta, draws[:, COLUMN["sigma2_eps"]])
-    for k, state in enumerate(states):
-        expected = observation_log_densities(data, p0[k] + delta[k], state.sigma2_eps)
+    for k, row in enumerate(draws):
+        expected = observation_log_densities(data, p0[k] + delta[k], row[COLUMN["sigma2_eps"]])
         np.testing.assert_allclose(ld[k], expected, rtol=1e-14, atol=0.0)
     # fused link identity p0 + g(B) = p0 s(b1 B) + (1 - p0) s(b2 B), unmasked
     ax1, ax2 = np.linspace(-4.0, 5.0, 17), np.linspace(-3.5, 5.5, 13)
@@ -219,7 +218,7 @@ def test_batched_log_densities_and_fine_sum_match_per_draw(posterior):
 
 
 def test_batched_surfaces_reject_wrong_coefficient_count(small_grid, small_spline):
-    draws = _draw_row(initial_state(small_grid, small_spline))[None, :-1]
+    draws = initial_state(small_grid, small_spline)[None, :-1]
     with pytest.raises(ValidationError):
         surfaces(draws, SurfaceDesign.on_grid(small_grid, small_spline))
 
@@ -235,10 +234,9 @@ def test_single_observation_log_density():
 
 
 def test_log_likelihood_matches_naive_oracle(small_plate, small_grid, small_spline):
-    state = initial_state(small_grid, small_spline)
-    p = mean_surface(small_grid, state, small_spline).values
+    p = _mean(small_grid, small_spline, initial_state(small_grid, small_spline))
     sigma2 = 0.013
-    total = log_likelihood(small_plate, p, sigma2)
+    total = observation_log_densities(small_plate, p, sigma2).sum()
     naive = 0.0
     for i in range(small_grid.shape[0]):
         for j in range(small_grid.shape[1]):
@@ -252,21 +250,19 @@ def test_log_likelihood_is_additive_over_replicates(small_plate, small_grid,
                                                     small_spline):
     from combofit import PlateDataset
 
-    state = initial_state(small_grid, small_spline)
-    p = mean_surface(small_grid, state, small_spline).values
+    p = _mean(small_grid, small_spline, initial_state(small_grid, small_spline))
     parts = []
     for r in range(small_plate.n_rep):
         one = PlateDataset(conc1=small_plate.conc1, conc2=small_plate.conc2,
                            viability=small_plate.viability[:, :, r:r + 1])
-        parts.append(log_likelihood(one, p, 0.02))
-    assert log_likelihood(small_plate, p, 0.02) == pytest.approx(sum(parts),
-                                                                 abs=1e-9)
+        parts.append(observation_log_densities(one, p, 0.02).sum())
+    assert observation_log_densities(small_plate, p, 0.02).sum() == pytest.approx(
+        sum(parts), abs=1e-9)
 
 
 def test_observation_log_densities_shape_and_values(small_plate, small_grid,
                                                     small_spline):
-    state = initial_state(small_grid, small_spline)
-    p = mean_surface(small_grid, state, small_spline).values
+    p = _mean(small_grid, small_spline, initial_state(small_grid, small_spline))
     ld = observation_log_densities(small_plate, p, 0.01)
     assert ld.shape == small_plate.viability.shape
     resid = small_plate.viability[2, 1, 0] - p[2, 1]
@@ -275,15 +271,9 @@ def test_observation_log_densities_shape_and_values(small_plate, small_grid,
 
 
 def test_log_likelihood_rejects_bad_sigma(small_plate, small_grid, small_spline):
-    state = initial_state(small_grid, small_spline)
-    p = mean_surface(small_grid, state, small_spline).values
+    p = _mean(small_grid, small_spline, initial_state(small_grid, small_spline))
     with pytest.raises(ValidationError):
-        log_likelihood(small_plate, p, 0.0)
-
-
-def test_log_likelihood_rejects_shape_mismatch(small_plate):
-    with pytest.raises(ValidationError):
-        log_likelihood(small_plate, np.full((3, 3), 0.5), 0.01)
+        observation_log_densities(small_plate, p, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,42 +342,30 @@ def test_matrix_normal_rejects_shape_mismatch():
 
 
 def test_log_prior_finite_at_initial_state(small_grid, small_spline):
-    state = initial_state(small_grid, small_spline)
+    row = initial_state(small_grid, small_spline)
     for priors in (PriorSpec(),
                    PriorSpec(variance_prior=InverseGammaPrior(3.0, 2.0))):
-        value = log_prior(state, priors, small_spline)
+        value = log_prior(row, priors, small_spline)
         assert math.isfinite(value)
 
 
 def test_log_prior_rejects_wrong_coefficient_shape(small_grid, small_spline):
-    state = _state(small_grid, small_spline, C=np.zeros((2, 2)))
+    row = np.append(initial_state(small_grid, small_spline)[:N_SCALARS], np.zeros(4))
     with pytest.raises(ValidationError):
-        log_prior(state, PriorSpec(), small_spline)
+        log_prior(row, PriorSpec(), small_spline)
 
 
 # ---------------------------------------------------------------------------
-# Parameter state
-
-
-def test_state_validation(small_grid, small_spline):
-    base = initial_state(small_grid, small_spline)
-    with pytest.raises(ValidationError):
-        replace(base, lambda1=-1.0)
-    with pytest.raises(ValidationError):
-        replace(base, m1=math.inf)
-    with pytest.raises(ValidationError):
-        replace(base, sigma2_eps=0.0)
-    with pytest.raises(ValidationError):
-        replace(base, sigma2_phi={"m1": 1.0})
-    with pytest.raises(ValidationError):
-        replace(base, C=np.array([np.nan]).reshape(1, 1))
+# Parameter row
 
 
 def test_initial_state_layout(small_grid, small_spline):
-    state = initial_state(small_grid, small_spline)
-    assert state.m1 == pytest.approx(0.5 * (small_grid.logc1[0] + small_grid.logc1[-1]))
-    assert state.m2 == pytest.approx(0.5 * (small_grid.logc2[0] + small_grid.logc2[-1]))
-    assert state.lambda1 == 1.0 and state.b1 == 1.0
-    assert (state.C == 0.0).all()
-    assert set(state.sigma2_phi) == set(PHI_NAMES)
-    assert state.phi_value("gamma1") == state.gamma1
+    row = initial_state(small_grid, small_spline)
+    assert row.shape == (N_SCALARS + small_spline.k1 * small_spline.k2,)
+    start = dict(zip(DRAW_SCALARS, row))
+    assert start["m1"] == pytest.approx(0.5 * (small_grid.logc1[0] + small_grid.logc1[-1]))
+    assert start["m2"] == pytest.approx(0.5 * (small_grid.logc2[0] + small_grid.logc2[-1]))
+    assert start["lambda1"] == start["lambda2"] == start["b1"] == start["b2"] == 1.0
+    assert start["gamma0"] == start["gamma1"] == start["gamma2"] == 0.0
+    assert all(start[name] == 0.01 for name in VARIANCES)
+    assert (row[N_SCALARS:] == 0.0).all()
