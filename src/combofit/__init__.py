@@ -13,9 +13,8 @@ from .baselines import (BASELINE_METHODS, MonoFit, ZipFit, baseline_delta,
 from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import (CombofitError, FitConvergenceError, InitializationError,
                      NumericError, ValidationError)
-from .mcmc import (BLOCK_NAMES, AdaptiveState, ChainConfig, PosteriorChain,
-                   chain_from_draws, run_chain, run_chains,
-                   variance_posterior_params)
+from .mcmc import (BLOCK_NAMES, AdaptiveState, ChainConfig, Posterior, run_chain,
+                   run_chains, variance_posterior_params)
 from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
                     initial_state, log_logistic_2ll, log_prior)
 from .simulate import (SimScenario, interaction_field, normal_cdf,
@@ -31,13 +30,12 @@ __all__ = [
     "AdaptiveState", "BASELINE_METHODS", "BLOCK_NAMES", "ChainConfig", "CombofitError",
     "FitConvergenceError", "GammaPrior", "HalfCauchyPrior", "InitializationError",
     "InverseGammaPrior", "LogConcGrid", "MonoFit", "NumericError", "PlateDataset",
-    "PosteriorChain", "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport",
+    "Posterior", "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport",
     "SurfaceGrid", "ValidationError", "ZipFit", "baseline_delta", "baseline_surface",
-    "basis_matrix", "bi_ec50", "bliss_surface", "chain_from_draws",
-    "combination_columns", "dss", "fine_mean_surface", "fit_2ll", "fit_monotherapies",
-    "hsa_surface", "initial_state", "interaction_field", "loewe_surface",
-    "log_logistic_2ll", "log_prior", "lpml", "mse_surface", "normal_cdf",
-    "penalty_precision", "reference_grid", "run_chain", "run_chains", "rvus",
-    "sample_plate", "summarize_chains", "truth_delta", "truth_p0",
+    "basis_matrix", "bi_ec50", "bliss_surface", "combination_columns", "dss",
+    "fine_mean_surface", "fit_2ll", "fit_monotherapies", "hsa_surface", "initial_state",
+    "interaction_field", "loewe_surface", "log_logistic_2ll", "log_prior", "lpml",
+    "mse_surface", "normal_cdf", "penalty_precision", "reference_grid", "run_chain",
+    "run_chains", "rvus", "sample_plate", "summarize_chains", "truth_delta", "truth_p0",
     "variance_posterior_params", "zip_surface",
 ]

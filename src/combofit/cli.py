@@ -29,8 +29,8 @@ from . import io as cio
 from .baselines import BASELINE_METHODS, baseline_delta
 from .data import LogConcGrid, SurfaceGrid
 from .errors import CombofitError, ValidationError
-from .mcmc import ChainConfig, chain_from_draws, run_chains
-from .model import GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec
+from .mcmc import ChainConfig, Posterior, run_chains
+from .model import LINEAR_SCALES, GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec
 from .simulate import SimScenario, sample_plate
 from .splines import SplineSpec
 from .summaries import ACCEPTANCE_RANGE, mse_surface, summarize_chains
@@ -41,6 +41,10 @@ OUTDIR_ENV = "COMBOFIT_OUTDIR"
 # is an int to isinstance, so only bool fields take one.
 _ACCEPTS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
             float: ((int, float), "a number"), str: ((str,), "a string")}
+
+# RunConfig.variance_prior names one of these and the prior it builds.
+VARIANCE_PRIORS = {"hc": lambda run: HalfCauchyPrior(run.hc_scale),
+                   "ig": lambda run: InverseGammaPrior(run.ig_shape, run.ig_rate)}
 
 
 @dataclass(frozen=True)
@@ -93,12 +97,9 @@ class RunConfig:
                            adapt_start=self.adapt_start, seed=self.seed)
 
     def prior_spec(self) -> PriorSpec:
-        if self.variance_prior == "hc":
-            var_prior = HalfCauchyPrior(self.hc_scale)
-        elif self.variance_prior == "ig":
-            var_prior = InverseGammaPrior(self.ig_shape, self.ig_rate)
-        else:
-            raise ValidationError("variance_prior must be 'hc' or 'ig'")
+        if self.variance_prior not in VARIANCE_PRIORS:
+            raise ValidationError(f"variance_prior must be one of {tuple(VARIANCE_PRIORS)}")
+        var_prior = VARIANCE_PRIORS[self.variance_prior](self)
         lam = GammaPrior(self.lambda_shape, self.lambda_rate)
         slope = GammaPrior(self.b_shape, self.b_rate)
         return PriorSpec(lambda1=lam, lambda2=lam, b1=slope, b2=slope,
@@ -106,6 +107,17 @@ class RunConfig:
 
 
 FIT_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# the keyword options of summaries.summarize_chains
+SUMMARY_OPTIONS = ("dss_threshold", "bi_ec50_tolerance", "fine_points",
+                   "swap_interaction_labels")
+_FLAG_CHOICES = {"variance_prior": tuple(VARIANCE_PRIORS), "linear_scale": LINEAR_SCALES}
+_FLAG_HELP = {
+    "k1": "spline basis size, drug 1 axis", "k2": "spline basis size, drug 2 axis",
+    "degree": "spline degree", "ridge": "penalty precision ridge",
+    "linear_scale": "scale of the linear predictor terms",
+    "swap_interaction_labels": "swap the synergistic/antagonistic naming of the "
+                               "interaction volumes",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,14 +213,15 @@ class _OutputSet:
 # Subcommands
 
 
-def _add_summary_flags(sub):
-    sub.add_argument("--dss-threshold", dest="dss_threshold", type=float)
-    sub.add_argument("--bi-ec50-tolerance", dest="bi_ec50_tolerance", type=float)
-    sub.add_argument("--fine-points", dest="fine_points", type=int)
-    sub.add_argument("--swap-interaction-labels", dest="swap_interaction_labels",
-                     action="store_const", const=True,
-                     help="swap the synergistic/antagonistic naming of the "
-                          "interaction volumes")
+def _add_run_flags(sub, names):
+    """One flag --field-name per RunConfig field in names, in field order; the
+    bool field is a switch."""
+    for f in fields(RunConfig):
+        if f.name in names:
+            kind = ({"action": "store_const", "const": True} if f.type is bool
+                    else {"type": f.type, "choices": _FLAG_CHOICES.get(f.name)})
+            sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                             help=_FLAG_HELP.get(f.name), **kind)
 
 
 def build_parser() -> _Parser:
@@ -221,27 +234,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--outdir")
     fit.add_argument("--config", help="JSON file with default overrides")
     fit.add_argument("--truth", help="truth CSV from simulate; adds mse.json")
-    fit.add_argument("--iters", type=int)
-    fit.add_argument("--burn-in", dest="burn_in", type=int)
-    fit.add_argument("--thin", type=int)
-    fit.add_argument("--adapt-start", dest="adapt_start", type=int)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--chains", type=int)
-    fit.add_argument("--variance-prior", dest="variance_prior", choices=("hc", "ig"))
-    fit.add_argument("--hc-scale", dest="hc_scale", type=float)
-    fit.add_argument("--ig-shape", dest="ig_shape", type=float)
-    fit.add_argument("--ig-rate", dest="ig_rate", type=float)
-    fit.add_argument("--lambda-shape", dest="lambda_shape", type=float)
-    fit.add_argument("--lambda-rate", dest="lambda_rate", type=float)
-    fit.add_argument("--b-shape", dest="b_shape", type=float)
-    fit.add_argument("--b-rate", dest="b_rate", type=float)
-    fit.add_argument("--k1", type=int, help="spline basis size, drug 1 axis")
-    fit.add_argument("--k2", type=int, help="spline basis size, drug 2 axis")
-    fit.add_argument("--degree", type=int, help="spline degree")
-    fit.add_argument("--ridge", type=float, help="penalty precision ridge")
-    fit.add_argument("--linear-scale", dest="linear_scale", choices=("log10", "natural"),
-                     help="scale of the linear predictor terms")
-    _add_summary_flags(fit)
+    _add_run_flags(fit, FIT_DEFAULTS)
 
     sim = subs.add_parser("simulate", help="generate a synthetic plate with truth")
     sim.add_argument("--scenario", type=int, required=True, choices=(1, 2, 3))
@@ -256,7 +249,7 @@ def build_parser() -> _Parser:
     summ.add_argument("--input", required=True, help="plate CSV of the original fit")
     summ.add_argument("--samples", required=True, help="samples CSV of the original fit")
     summ.add_argument("--outdir")
-    _add_summary_flags(summ)
+    _add_run_flags(summ, SUMMARY_OPTIONS)
 
     base = subs.add_parser("baseline", help="classical reference surfaces")
     base.add_argument("--input", required=True, help="plate CSV")
@@ -285,11 +278,9 @@ def _setup(args, file_values: dict):
     return run_cfg, data, grid, spline
 
 
-def _summarize(chains, run_cfg: RunConfig):
-    return summarize_chains(chains, dss_threshold=run_cfg.dss_threshold,
-                            bi_ec50_tolerance=run_cfg.bi_ec50_tolerance,
-                            fine_points=run_cfg.fine_points,
-                            swap_interaction_labels=run_cfg.swap_interaction_labels)
+def _summarize(posterior, run_cfg: RunConfig):
+    return summarize_chains(posterior,
+                            **{name: getattr(run_cfg, name) for name in SUMMARY_OPTIONS})
 
 
 def _cmd_fit(args) -> int:
@@ -299,10 +290,10 @@ def _cmd_fit(args) -> int:
     if args.truth:
         truth = cio.read_truth_csv(args.truth)
         _check_truth_axes(truth, grid)
-    chains = run_chains(data, run_cfg.chains, priors=run_cfg.prior_spec(),
-                        spline=spline, config=run_cfg.chain_config(),
-                        linear_scale=run_cfg.linear_scale)
-    report = _summarize(chains, run_cfg)
+    posterior = run_chains(data, run_cfg.chains, priors=run_cfg.prior_spec(),
+                           spline=spline, config=run_cfg.chain_config(),
+                           linear_scale=run_cfg.linear_scale)
+    report = _summarize(posterior, run_cfg)
     lo, hi = ACCEPTANCE_RANGE
     for warning in report.warnings:
         print(f"warning: chain {warning['chain']} block {warning['block']} acceptance "
@@ -310,7 +301,7 @@ def _cmd_fit(args) -> int:
               file=sys.stderr)
 
     with _OutputSet(outdir) as out:
-        cio.write_samples_csv(out.path("samples.csv"), chains)
+        cio.write_samples_csv(out.path("samples.csv"), posterior)
         mean = report.posterior_mean
         for key in ("p", "p0", "delta"):
             cio.write_surface_csv(out.path(f"surface_{key}.csv"), SurfaceGrid(
@@ -356,11 +347,12 @@ def _cmd_summarize(args) -> int:
         raise ValidationError(
             f"samples hold a {samples.coeff_shape[0]} x {samples.coeff_shape[1]} coefficient "
             f"matrix; the fit record {record_path} gives k1 {spline.k1}, k2 {spline.k2}")
-    chains = [chain_from_draws(data, samples.draws[samples.chain == index], spline=spline,
-                               linear_scale=run_cfg.linear_scale, chain_index=int(index))
-              for index in np.unique(samples.chain)]
-    del samples  # each chain holds a copy of its rows
-    report = _summarize(chains, run_cfg)
+    # rows grouped by ascending chain index, in file order within each chain
+    order = np.argsort(samples.chain, kind="stable")
+    posterior = Posterior(draws=samples.draws[order], chain=samples.chain[order], grid=grid,
+                          spline=spline, linear_scale=run_cfg.linear_scale, data=data)
+    del samples  # the posterior holds a copy of its rows
+    report = _summarize(posterior, run_cfg)
     with _OutputSet(outdir) as out:
         payload = {"config": asdict(run_cfg), "input": str(args.input),
                    "plate_sha256": plate_sha, "samples": str(args.samples)}
@@ -371,7 +363,8 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_baseline(args) -> int:
     outdir = _resolve_outdir(args.outdir)
-    methods = args.method or list(BASELINE_METHODS)
+    # a method named twice would stage its files twice
+    methods = list(dict.fromkeys(args.method or BASELINE_METHODS))
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
     truth = None

@@ -211,17 +211,17 @@ class Samples(NamedTuple):
     coeff_shape: tuple       # (k1, k2) from the coefficient column names
 
 
-def write_samples_csv(path, chains):
-    """One row per retained sample, chains concatenated in index order."""
-    if not isinstance(chains, (list, tuple)):
-        chains = [chains]
-    k1, k2 = chains[0].spline.k1, chains[0].spline.k2
+def write_samples_csv(path, posterior):
+    """One row per retained draw of an mcmc.Posterior, in its row order; the
+    sample column counts from 0 within each chain."""
+    chain = posterior.chain
+    sample = np.arange(len(chain)) - np.searchsorted(chain, chain)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(samples_header(k1, k2))
-        for chain in chains:
-            writer.writerows([chain.chain_index, idx, *map(repr, row)]
-                             for idx, row in enumerate(chain.draws.tolist()))
+        writer.writerow(samples_header(posterior.spline.k1, posterior.spline.k2))
+        # a row at a time: the whole posterior as Python floats would be ~4x its array
+        writer.writerows([index, idx, *map(repr, row.tolist())] for index, idx, row in
+                         zip(chain.tolist(), sample.tolist(), posterior.draws))
 
 
 def read_samples_csv(path) -> Samples:

@@ -15,7 +15,7 @@ prior the variance blocks switch to exact conjugate draws.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -59,14 +59,13 @@ TARGET_ACCEPT_MULTI = 0.234
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Schedule and initial proposal scales of one MCMC chain."""
+    """Schedule of one MCMC chain."""
 
     n_iter: int = 100_000
     burn_in: int = None
     thin: int = 10
     adapt_start: int = 1000
     seed: int = 0
-    proposal_scales: dict = None
 
     def __post_init__(self):
         if self.n_iter < 1:
@@ -82,16 +81,7 @@ class ChainConfig:
             raise ValidationError("adapt_start must be at least 1")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        scales = dict(DEFAULT_PROPOSAL_SCALES)
-        if self.proposal_scales is not None:
-            unknown = set(self.proposal_scales) - set(BLOCK_NAMES)
-            if unknown:
-                raise ValidationError(f"unknown proposal scale keys: {sorted(unknown)}")
-            scales.update({k: float(v) for k, v in self.proposal_scales.items()})
-        if any(not v > 0.0 for v in scales.values()):
-            raise ValidationError("proposal scales must be positive")
         object.__setattr__(self, "burn_in", int(burn_in))
-        object.__setattr__(self, "proposal_scales", scales)
 
     @property
     def n_retained(self) -> int:
@@ -212,32 +202,49 @@ def draw_inverse_gamma(rng, shape: float, rate: float) -> float:
 
 
 @dataclass
-class PosteriorChain:
-    """Retained draws of one chain, the whole stored posterior, and the plate
-    whose likelihood it targeted (data; None for a prior-only chain).
+class Posterior:
+    """Retained draws of one or several chains, the whole stored posterior,
+    and the plate whose likelihood it targeted (data; None for a prior-only
+    chain).
 
     draws has one row per retained draw, in model.DRAW_SCALARS order followed
-    by the spline coefficients C in row-major order; blocks derives surfaces
-    and log densities from it. Acceptance rates are per block, over the whole
-    run and after burn-in.
+    by the spline coefficients C in row-major order; chain holds the chain
+    index of each row and never decreases, so each chain's rows are
+    contiguous. blocks derives surfaces and log densities from the draws.
+    accept_rates and accept_rates_after_burn_in map a chain index to that
+    chain's per-block rates over the whole run and after burn-in; stored
+    draws have none.
     """
 
     draws: np.ndarray
-    accept_rates: dict
-    accept_rates_after_burn_in: dict
-    chain_index: int
+    chain: np.ndarray
     grid: LogConcGrid
     spline: SplineSpec
     linear_scale: str
     data: PlateDataset
+    accept_rates: dict = field(default_factory=dict)
+    accept_rates_after_burn_in: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.draws.ndim != 2 or self.draws.shape[0] < 1:
+            raise ValidationError("need a (draws, columns) array with at least one draw")
+        if self.chain.shape != self.draws.shape[:1]:
+            raise ValidationError(f"chain has shape {self.chain.shape}; need one index "
+                                  f"for each of the {len(self)} draws")
+        if np.any(np.diff(self.chain) < 0):
+            raise ValidationError("chain indices must not decrease from row to row")
 
     def __len__(self):
         return self.draws.shape[0]
 
     def row_blocks(self):
-        """Successive blocks of at most _REBUILD_BLOCK rows of draws."""
-        return (self.draws[start:start + _REBUILD_BLOCK]
-                for start in range(0, len(self), _REBUILD_BLOCK))
+        """Successive blocks of at most _REBUILD_BLOCK rows of draws. No block
+        holds rows of two chains, so how a chain's rows are blocked does not
+        depend on the other chains."""
+        bounds = [0, *(np.flatnonzero(np.diff(self.chain)) + 1).tolist(), len(self)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            for first in range(start, stop, _REBUILD_BLOCK):
+                yield self.draws[first:min(first + _REBUILD_BLOCK, stop)]
 
     def blocks(self):
         """(rows, p0, delta, log densities) per block of row_blocks, from the
@@ -333,7 +340,7 @@ class _Sampler:
             dim = {"b": 2, "C": spline.k1 * spline.k2}.get(name, 1)
             target = TARGET_ACCEPT_SCALAR if dim == 1 else TARGET_ACCEPT_MULTI
             self.adapters[name] = AdaptiveState(
-                dim=dim, initial_scale=config.proposal_scales[name], target=target,
+                dim=dim, initial_scale=DEFAULT_PROPOSAL_SCALES[name], target=target,
                 adapt_start=config.adapt_start)
         self.accepted = {name: 0 for name in self.adapters}
         self.proposed = {name: 0 for name in self.adapters}
@@ -538,7 +545,7 @@ class _Sampler:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> PosteriorChain:
+    def run(self) -> Posterior:
         cfg = self.config
         draws = np.empty((cfg.n_retained, N_SCALARS + self.C.size))
         updates = {
@@ -565,10 +572,11 @@ class _Sampler:
         counts = self._counts()
         after = {name: (a - at_burn_in[name][0], n - at_burn_in[name][1])
                  for name, (a, n) in counts.items()}
-        return PosteriorChain(
-            draws=draws, accept_rates=_rates(counts), accept_rates_after_burn_in=_rates(after),
-            chain_index=self.chain_index, grid=self.grid, spline=self.spline,
-            linear_scale=self.linear_scale, data=self.data)
+        return Posterior(
+            draws=draws, chain=np.full(len(draws), self.chain_index), grid=self.grid,
+            spline=self.spline, linear_scale=self.linear_scale, data=self.data,
+            accept_rates={self.chain_index: _rates(counts)},
+            accept_rates_after_burn_in={self.chain_index: _rates(after)})
 
     def _counts(self):
         """(accepted, proposed) of every adapted block so far."""
@@ -583,8 +591,9 @@ def _rates(counts):
 def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec = None,
               config: ChainConfig = None, linear_scale: str = "log10",
               update_blocks=None, prior_only: bool = False,
-              initial=None, chain_index: int = 0) -> PosteriorChain:
-    """Run one adaptive Metropolis-within-Gibbs chain on a plate.
+              initial=None, chain_index: int = 0) -> Posterior:
+    """Run one adaptive Metropolis-within-Gibbs chain on a plate and return
+    its retained draws as a one-chain Posterior whose rows carry chain_index.
 
     update_blocks restricts sampling to a subset of BLOCK_NAMES (the rest stay
     at their starting values); prior_only drops the likelihood so the chain
@@ -602,31 +611,22 @@ def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec =
     return sampler.run()
 
 
-def chain_from_draws(data: PlateDataset, draws: np.ndarray, spline: SplineSpec = None,
-                     linear_scale: str = "log10", chain_index: int = 0) -> PosteriorChain:
-    """A PosteriorChain of stored draws of a fit to data, such as the rows of
-    one chain of a samples file; it has no acceptance rates."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[0] < 1:
-        raise ValidationError("need a (draws, columns) array with at least one draw")
-    grid = LogConcGrid.from_dataset(data)
-    if spline is None:
-        spline = SplineSpec.for_grid(grid)
-    return PosteriorChain(draws=draws, accept_rates={}, accept_rates_after_burn_in={},
-                          chain_index=chain_index, grid=grid, spline=spline,
-                          linear_scale=linear_scale, data=data)
-
-
 def run_chains(data: PlateDataset, n_chains: int, priors: PriorSpec = None,
                spline: SplineSpec = None, config: ChainConfig = None,
-               linear_scale: str = "log10") -> list:
-    """Run independent chains with per-chain RNG streams derived from the seed.
+               linear_scale: str = "log10") -> Posterior:
+    """Run n_chains independent chains, indexed 0 to n_chains - 1, and return
+    one Posterior with their rows in index order.
 
     Chain index seeds the stream, so results do not depend on execution order
     or on how many workers the host offers.
     """
     if n_chains < 1:
         raise ValidationError("n_chains must be at least 1")
-    return [run_chain(data, priors=priors, spline=spline, config=config,
-                      linear_scale=linear_scale, chain_index=i)
-            for i in range(n_chains)]
+    parts = [run_chain(data, priors=priors, spline=spline, config=config,
+                       linear_scale=linear_scale, chain_index=i)
+             for i in range(n_chains)]
+    return replace(parts[0], draws=np.concatenate([part.draws for part in parts]),
+                   chain=np.concatenate([part.chain for part in parts]),
+                   accept_rates={i: part.accept_rates[i] for i, part in enumerate(parts)},
+                   accept_rates_after_burn_in={i: part.accept_rates_after_burn_in[i]
+                                               for i, part in enumerate(parts)})

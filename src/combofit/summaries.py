@@ -161,34 +161,21 @@ def mse_surface(estimate, truth) -> float:
 # Posterior aggregation
 
 
-def _pool(chains):
-    if not isinstance(chains, (list, tuple)):
-        chains = [chains]
-    if len(chains) == 0:
-        raise ValidationError("need at least one chain")
-    return list(chains)
-
-
-def fine_mean_surface(chains, n_points: int = 100) -> SurfaceGrid:
+def fine_mean_surface(posterior, n_points: int = 100) -> SurfaceGrid:
     """Posterior-mean viability on a refined grid over the nonzero dose ranges.
 
     The mean surface is re-evaluated per retained sample on the fine grid
     (interaction included, no border mask: every fine point has both drugs
     present) and then averaged; draws are visited a block at a time.
     """
-    chains = _pool(chains)
-    grid = chains[0].grid
+    grid = posterior.grid
     ax1 = np.linspace(grid.logc1[1], grid.logc1[-1], n_points)
     ax2 = np.linspace(grid.logc2[1], grid.logc2[-1], n_points)
-    design = SurfaceDesign.on_axes(ax1, ax2, chains[0].spline, chains[0].linear_scale)
-    total = 0.0
-    for chain in chains:
-        chain_total = np.zeros((n_points, n_points))
-        for rows in chain.row_blocks():
-            summed_mean_surface(rows, design, total=chain_total)
-        total = total + chain_total
-    count = sum(len(chain) for chain in chains)
-    return SurfaceGrid(values=total / count, axis1=ax1, axis2=ax2, label="p_fine")
+    design = SurfaceDesign.on_axes(ax1, ax2, posterior.spline, posterior.linear_scale)
+    total = np.zeros((n_points, n_points))
+    for rows in posterior.row_blocks():
+        summed_mean_surface(rows, design, total=total)
+    return SurfaceGrid(values=total / len(posterior), axis1=ax1, axis2=ax2, label="p_fine")
 
 
 def _quantile_stats(samples: np.ndarray) -> dict:
@@ -224,10 +211,10 @@ class SummaryReport:
         return payload
 
 
-def summarize_chains(chains, dss_threshold: float = 0.10,
+def summarize_chains(posterior, dss_threshold: float = 0.10,
                      bi_ec50_tolerance: float = 0.01, fine_points: int = 100,
                      swap_interaction_labels: bool = False) -> SummaryReport:
-    """Full posterior summary over one or several pooled chains.
+    """Full posterior summary of an mcmc.Posterior, its chains pooled.
 
     Every score is computed per retained sample and reported as median with a
     central 95% interval. rVUS of the interaction components shares the |Delta|
@@ -240,44 +227,41 @@ def summarize_chains(chains, dss_threshold: float = 0.10,
     nonzero): the monotherapy borders inform the fit but the predictive score
     targets the cells where an interaction is possible. warnings names each
     chain's blocks whose acceptance after burn-in lies outside
-    ACCEPTANCE_RANGE. Surfaces and log densities are folded into the scores
-    a block of draws at a time, so only the scores grow with the draws.
+    ACCEPTANCE_RANGE. acceptance and acceptance_after_burn_in list every
+    chain, with no rates for a chain whose draws carry none. Surfaces and log
+    densities are folded into the scores a block of draws at a time, so only
+    the scores grow with the draws.
     """
-    chains = _pool(chains)
-    grid = chains[0].grid
+    grid, series = posterior.grid, posterior.scalar_series
     lo1, hi1 = float(grid.logc1[1]), float(grid.logc1[-1])
     lo2, hi2 = float(grid.logc2[1]), float(grid.logc2[-1])
-
-    def pooled(name):
-        return np.concatenate([chain.scalar_series(name) for chain in chains])
-
-    dss1 = dss_scores(pooled("m1"), pooled("lambda1"), lo1, hi1, dss_threshold)
-    dss2 = dss_scores(pooled("m2"), pooled("lambda2"), lo2, hi2, dss_threshold)
+    dss1 = dss_scores(series("m1"), series("lambda1"), lo1, hi1, dss_threshold)
+    dss2 = dss_scores(series("m2"), series("lambda2"), lo2, hi2, dss_threshold)
     keys = ("p0", "abs_delta", "delta_plus", "delta_minus", "one_minus_p")
-    n_samples = sum(len(chain) for chain in chains)
+    n_samples = len(posterior)
     scores = np.empty((len(keys), n_samples))
     sum_p0, sum_delta = np.zeros(grid.shape), np.zeros(grid.shape)
     combo, stream, start = None, LpmlStream(), 0
-    for chain in chains:
-        for rows, p0, delta, ld in chain.blocks():
-            stop = start + len(rows)
-            scores[:, start:stop] = _rvus_scores(p0, delta, grid)
-            start = stop
-            sum_p0 += p0.sum(axis=0)
-            sum_delta += delta.sum(axis=0)
-            if combo is None:
-                combo = combination_columns(grid, ld.shape[1])
-            stream.add(ld[:, combo])
+    for rows, p0, delta, ld in posterior.blocks():
+        stop = start + len(rows)
+        scores[:, start:stop] = _rvus_scores(p0, delta, grid)
+        start = stop
+        sum_p0 += p0.sum(axis=0)
+        sum_delta += delta.sum(axis=0)
+        if combo is None:
+            combo = combination_columns(grid, ld.shape[1])
+        stream.add(ld[:, combo])
 
     labels = {"delta_plus": "synergistic", "delta_minus": "antagonistic"}
     if swap_interaction_labels:
         labels = {"delta_plus": "antagonistic", "delta_minus": "synergistic"}
 
-    fine = fine_mean_surface(chains, n_points=fine_points)
+    fine = fine_mean_surface(posterior, n_points=fine_points)
     lo, hi = ACCEPTANCE_RANGE
+    chains = np.unique(posterior.chain).tolist()
+    after = {i: posterior.accept_rates_after_burn_in.get(i, {}) for i in chains}
     warnings = [{"chain": i, "block": block, "acceptance": rate}
-                for i, chain in enumerate(chains)
-                for block, rate in chain.accept_rates_after_burn_in.items()
+                for i, rates in after.items() for block, rate in rates.items()
                 if not lo <= rate <= hi]
     return SummaryReport(
         n_samples=n_samples,
@@ -290,9 +274,8 @@ def summarize_chains(chains, dss_threshold: float = 0.10,
         dss_threshold=dss_threshold,
         posterior_mean={"p0": sum_p0 / n_samples, "delta": sum_delta / n_samples,
                         "p": sum_p0 / n_samples + sum_delta / n_samples},
-        acceptance={str(i): dict(chain.accept_rates) for i, chain in enumerate(chains)},
-        acceptance_after_burn_in={str(i): dict(chain.accept_rates_after_burn_in)
-                                  for i, chain in enumerate(chains)},
+        acceptance={str(i): dict(posterior.accept_rates.get(i, {})) for i in chains},
+        acceptance_after_burn_in={str(i): dict(rates) for i, rates in after.items()},
         warnings=warnings,
     )
 

@@ -294,22 +294,33 @@ def test_summarize_groups_interleaved_chain_rows(tmp_path, plate_csv):
     fit_dir = tmp_path / "fit"
     assert _fit(plate_csv, fit_dir, "--chains", "2") == 0
     lines = (fit_dir / "samples.csv").read_text().splitlines()
-    # the shuffled samples sit next to a copy of the fit's record
-    (tmp_path / "shuffled").mkdir()
-    shuffled = tmp_path / "shuffled" / "samples.csv"
-    (shuffled.parent / "summary.json").write_bytes((fit_dir / "summary.json").read_bytes())
     rows = lines[1:]
-    shuffled.write_text("\n".join([lines[0]] + rows[::2] + rows[1::2]) + "\n")
-    outs = []
-    for name, samples in (("a", fit_dir / "samples.csv"), ("b", shuffled)):
+    half = len(rows) // 2
+    orders = {
+        # the chains' rows alternate, each chain's rows in file order
+        "interleaved": [row for pair in zip(rows[:half], rows[half:]) for row in pair],
+        # the rows of each chain reordered as well
+        "shuffled": rows[::2] + rows[1::2],
+    }
+    outs = {}
+    for name, order in (("grouped", rows), *orders.items()):
+        # each samples file sits next to a copy of the fit's record
+        (tmp_path / name).mkdir()
+        samples = tmp_path / name / "samples.csv"
+        (samples.parent / "summary.json").write_bytes((fit_dir / "summary.json").read_bytes())
+        samples.write_text("\n".join([lines[0]] + order) + "\n")
         assert main(["summarize", "--input", str(plate_csv), "--samples", str(samples),
-                     "--outdir", str(tmp_path / name), "--fine-points", "20"]) == 0
-        outs.append(read_json(tmp_path / name / "summary.json"))
-    assert outs[1]["acceptance"] == outs[0]["acceptance"] == {"0": {}, "1": {}}
-    assert outs[1]["lpml"] == pytest.approx(outs[0]["lpml"], rel=1e-12)
+                     "--outdir", str(tmp_path / name / "out"), "--fine-points", "20"]) == 0
+        outs[name] = read_json(tmp_path / name / "out" / "summary.json")
+        del outs[name]["samples"]
+    assert outs["interleaved"] == outs["grouped"]
+    got, want = outs["shuffled"], outs["grouped"]
+    assert got["acceptance"] == want["acceptance"] == {"0": {}, "1": {}}
+    assert got["acceptance_after_burn_in"] == {"0": {}, "1": {}}
+    assert got["lpml"] == pytest.approx(want["lpml"], rel=1e-12)
     for group in ("dss", "rvus"):
-        for key, stats in outs[0][group].items():
-            assert outs[1][group][key] == pytest.approx(stats, rel=1e-12)
+        for key, stats in want[group].items():
+            assert got[group][key] == pytest.approx(stats, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +434,15 @@ def test_baseline_method_selection(tmp_path, plate_csv):
     summary = read_json(outdir / "baseline_summary.json")
     assert set(summary) == {"hsa", "bliss"}
     assert not (outdir / "baseline_loewe.csv").exists()
+
+
+def test_baseline_repeated_method_writes_one_set(tmp_path, plate_csv):
+    outdir = tmp_path / "base"
+    assert main(["baseline", "--input", str(plate_csv), "--method", "bliss",
+                 "--method", "bliss", "--outdir", str(outdir)]) == 0
+    assert sorted(path.name for path in outdir.iterdir()) == [
+        "baseline_bliss.csv", "baseline_delta_bliss.csv", "baseline_summary.json"]
+    assert list(read_json(outdir / "baseline_summary.json")) == ["bliss"]
 
 
 # ---------------------------------------------------------------------------

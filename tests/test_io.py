@@ -185,15 +185,16 @@ def _draws(draw, n_cols):
 @given(st.lists(_draws(len(DRAW_SCALARS) + 36), min_size=1, max_size=3))
 def test_samples_write_read_write_is_byte_identical(tmp_path_factory, small_chain, blocks):
     first, second = (tmp_path_factory.mktemp("samples") / "samples.csv" for _ in range(2))
-    write_samples_csv(first, [replace(small_chain, draws=block, chain_index=k)
-                              for k, block in enumerate(blocks)])
+    index = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    write_samples_csv(first, replace(small_chain, draws=np.concatenate(blocks), chain=index))
     back = read_samples_csv(first)
     np.testing.assert_array_equal(back.draws, np.concatenate(blocks))
-    bounds = np.cumsum([len(block) for block in blocks])[:-1]
-    write_samples_csv(second, [replace(small_chain, draws=block, chain_index=int(index[0]))
-                               for block, index in zip(np.split(back.draws, bounds),
-                                                       np.split(back.chain, bounds))])
+    np.testing.assert_array_equal(back.chain, index)
+    write_samples_csv(second, replace(small_chain, draws=back.draws, chain=back.chain))
     assert first.read_bytes() == second.read_bytes()
+    # the sample column counts from 0 within each chain
+    rows = [line.split(",", 2)[:2] for line in first.read_text().splitlines()[1:]]
+    assert rows == [[str(k), str(i)] for k, block in enumerate(blocks) for i in range(len(block))]
 
 
 def test_samples_header_layout():

@@ -6,10 +6,10 @@ import pytest
 from scipy import stats
 
 from combofit import (AdaptiveState, ChainConfig, InitializationError,
-                      InverseGammaPrior, PriorSpec, ValidationError,
-                      chain_from_draws, initial_state, run_chain, run_chains,
-                      variance_posterior_params)
-from combofit.mcmc import BLOCK_NAMES, _Sampler, draw_inverse_gamma
+                      InverseGammaPrior, Posterior, PriorSpec, ValidationError,
+                      initial_state, run_chain, run_chains, variance_posterior_params)
+from combofit.mcmc import (_REBUILD_BLOCK, BLOCK_NAMES, DEFAULT_PROPOSAL_SCALES, _Sampler,
+                           draw_inverse_gamma)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
                             SurfaceDesign, surfaces)
 
@@ -39,10 +39,6 @@ def test_config_validation():
         ChainConfig(thin=0)
     with pytest.raises(ValidationError):
         ChainConfig(seed=-1)
-    with pytest.raises(ValidationError):
-        ChainConfig(proposal_scales={"m1": 0.1, "bogus": 0.2})
-    with pytest.raises(ValidationError):
-        ChainConfig(proposal_scales={"m1": -0.1})
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +181,10 @@ def test_chain_bookkeeping_shapes(small_plate):
     assert ld.shape == (10, 40)
     assert chain.scalar_series("m1").shape == (10,)
     assert chain.draws.shape == (10, len(DRAW_SCALARS) + 36)
-    assert chain.chain_index == 0
+    np.testing.assert_array_equal(chain.chain, np.zeros(10))
     assert chain.data is small_plate
-    assert set(chain.accept_rates_after_burn_in) == set(chain.accept_rates)
+    assert set(chain.accept_rates) == set(chain.accept_rates_after_burn_in) == {0}
+    assert set(chain.accept_rates_after_burn_in[0]) == set(chain.accept_rates[0])
     with pytest.raises(ValidationError):
         chain.scalar_series("not_a_parameter")
 
@@ -206,6 +203,8 @@ def test_chain_index_changes_the_stream(small_plate):
     a = run_chain(small_plate, config=TINY, chain_index=0)
     b = run_chain(small_plate, config=TINY, chain_index=1)
     assert np.abs(a.scalar_series("m1") - b.scalar_series("m1")).max() > 0.0
+    np.testing.assert_array_equal(b.chain, np.ones(len(b)))
+    assert set(b.accept_rates) == set(b.accept_rates_after_burn_in) == {1}
 
 
 def test_retained_states_respect_constraints(small_chain):
@@ -218,7 +217,7 @@ def test_retained_states_respect_constraints(small_chain):
 
 
 def test_acceptance_rates_reported_per_block(small_chain):
-    for rates in (small_chain.accept_rates, small_chain.accept_rates_after_burn_in):
+    for rates in (small_chain.accept_rates[0], small_chain.accept_rates_after_burn_in[0]):
         assert set(rates) == set(BLOCK_NAMES)
         assert all(0.0 <= r <= 1.0 for r in rates.values())
 
@@ -230,16 +229,16 @@ def test_acceptance_after_burn_in_counts_moves_of_retained_draws(small_plate):
     chain = run_chain(small_plate, config=config, update_blocks=("m1",))
     m1 = chain.scalar_series("m1")
     moved = float(np.mean(m1[1:] != m1[:-1]))
-    rate = chain.accept_rates_after_burn_in["m1"]
+    rate = chain.accept_rates_after_burn_in[0]["m1"]
     assert abs(rate - moved) <= 1.0 / len(chain)
-    assert rate != chain.accept_rates["m1"]
+    assert rate != chain.accept_rates[0]["m1"]
 
 
 def test_ig_prior_switches_variance_blocks_to_gibbs(small_plate):
     priors = PriorSpec(variance_prior=InverseGammaPrior(3.0, 2.0))
     chain = run_chain(small_plate, priors=priors, config=TINY)
-    assert "sigma2_eps" not in chain.accept_rates
-    assert "m1" in chain.accept_rates
+    assert "sigma2_eps" not in chain.accept_rates[0]
+    assert "m1" in chain.accept_rates[0]
     assert (chain.scalar_series("sigma2_eps") > 0.0).all()
 
 
@@ -253,17 +252,17 @@ def test_prior_only_chain_runs(small_plate):
     assert (chain.scalar_series("lambda1") > 0.0).all()
 
 
-def test_overflowing_proposals_are_rejected_not_fatal(small_plate):
+def test_overflowing_proposals_are_rejected_not_fatal(small_plate, monkeypatch):
     # steps of sd 800 on the log scale routinely cross exp's overflow point;
     # they must come back as rejections, not OverflowError
-    wild = ChainConfig(n_iter=300, burn_in=100, thin=1, adapt_start=10_000,
-                       seed=0, proposal_scales={"b": 800.0, "lambda1": 800.0,
-                                                "sigma2_eps": 800.0, "sigma2_m1": 800.0})
+    for name in ("b", "lambda1", "sigma2_eps", "sigma2_m1"):
+        monkeypatch.setitem(DEFAULT_PROPOSAL_SCALES, name, 800.0)
+    wild = ChainConfig(n_iter=300, burn_in=100, thin=1, adapt_start=10_000, seed=0)
     chain = run_chain(small_plate, config=wild, prior_only=True)
     assert (chain.scalar_series("lambda1") > 0.0).all()
     assert np.isfinite(chain.scalar_series("sigma2_eps")).all()
     assert np.isfinite(chain.scalar_series("sigma2_m1")).all()
-    assert chain.accept_rates["b"] < 0.5
+    assert chain.accept_rates[0]["b"] < 0.5
 
 
 def test_update_blocks_validation(small_plate):
@@ -333,22 +332,43 @@ def test_sampler_surfaces_match_the_kernel(small_plate, small_grid, small_spline
         np.testing.assert_allclose(sampler.delta, delta[0], rtol=0.0, atol=1e-12)
 
 
-def test_chain_from_draws_holds_the_stored_draws(small_plate, small_chain):
-    rebuilt = chain_from_draws(small_plate, small_chain.draws)
+def _stored(chain, draws, index):
+    """A Posterior of stored draws on chain's plate and layout."""
+    return Posterior(draws=draws, chain=index, grid=chain.grid, spline=chain.spline,
+                     linear_scale=chain.linear_scale, data=chain.data)
+
+
+def test_posterior_holds_the_stored_draws(small_chain):
+    rebuilt = _stored(small_chain, small_chain.draws, small_chain.chain)
     assert len(rebuilt) == len(small_chain)
     assert rebuilt.accept_rates == rebuilt.accept_rates_after_burn_in == {}
     for got, want in zip(rebuilt.blocks(), small_chain.blocks()):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValidationError):
-        chain_from_draws(small_plate, small_chain.draws[:0])
+    n = len(small_chain)
+    for draws, index, what in ((small_chain.draws[:0], small_chain.chain[:0], "at least one"),
+                               (small_chain.draws, small_chain.chain[1:], "one index"),
+                               (small_chain.draws, np.arange(n)[::-1], "not decrease")):
+        with pytest.raises(ValidationError, match=what):
+            _stored(small_chain, draws, index)
+
+
+def test_row_blocks_stay_within_one_chain(small_chain):
+    # chains of 130, 1 and 5 rows: no block holds rows of two chains
+    index = np.repeat([0, 2, 3], [130, 1, 5])
+    draws = np.resize(small_chain.draws, (len(index), small_chain.draws.shape[1]))
+    blocks = list(_stored(small_chain, draws, index).row_blocks())
+    assert [len(rows) for rows in blocks] == [_REBUILD_BLOCK, 130 - _REBUILD_BLOCK, 1, 5]
+    np.testing.assert_array_equal(np.concatenate(blocks), draws)
 
 
 def test_run_chains_indexes_streams(small_plate):
-    chains = run_chains(small_plate, 2, config=TINY)
-    assert [c.chain_index for c in chains] == [0, 1]
-    single = run_chain(small_plate, config=TINY, chain_index=1)
-    np.testing.assert_array_equal(chains[1].scalar_series("m1"),
-                                  single.scalar_series("m1"))
+    posterior = run_chains(small_plate, 2, config=TINY)
+    np.testing.assert_array_equal(posterior.chain, np.repeat([0, 1], TINY.n_retained))
+    for i in (0, 1):
+        single = run_chain(small_plate, config=TINY, chain_index=i)
+        np.testing.assert_array_equal(posterior.draws[posterior.chain == i], single.draws)
+        assert posterior.accept_rates[i] == single.accept_rates[i]
+        assert posterior.accept_rates_after_burn_in[i] == single.accept_rates_after_burn_in[i]
     with pytest.raises(ValidationError):
         run_chains(small_plate, 0, config=TINY)

@@ -356,11 +356,13 @@ def test_summarize_chains_scores_match_per_draw_loop(small_chain):
 
 
 def test_summarize_chains_pools_chains_without_stacking(small_chain):
+    # the same rows as two chains: blocks and sums break at the chain boundary
     half = len(small_chain) // 2
-    parts = [replace(small_chain, draws=small_chain.draws[rows])
-             for rows in (slice(0, half), slice(half, None))]
+    parts = replace(small_chain, chain=np.repeat([0, 1], [half, len(small_chain) - half]),
+                    accept_rates={}, accept_rates_after_burn_in={})
     whole = summarize_chains(small_chain, fine_points=25)
     pooled = summarize_chains(parts, fine_points=25)
+    assert pooled.acceptance == pooled.acceptance_after_burn_in == {"0": {}, "1": {}}
     assert pooled.n_samples == whole.n_samples
     assert pooled.lpml == pytest.approx(whole.lpml, rel=1e-13)
     for group in ("dss", "rvus"):
@@ -380,7 +382,8 @@ def test_summaries_memory_does_not_grow_with_draws():
     chain = run_chain(data, config=ChainConfig(n_iter=800, burn_in=400, thin=1, seed=1))
     peaks = []
     for copies in (1, 10):
-        part = replace(chain, draws=np.tile(chain.draws, (copies, 1)))
+        part = replace(chain, draws=np.tile(chain.draws, (copies, 1)),
+                       chain=np.zeros(copies * len(chain), dtype=int))
         tracemalloc.start()
         summarize_chains(part)
         peaks.append(tracemalloc.get_traced_memory()[1])
