@@ -55,7 +55,7 @@ class RunConfig:
     iters: int = 100_000
     burn_in: int = None
     thin: int = 10
-    adapt_start: int = 1000
+    adapt_start: int = None
     seed: int = 0
     chains: int = 1
     k1: int = 6
@@ -84,6 +84,10 @@ class RunConfig:
             types, kind = _ACCEPTS[field.type]
             if isinstance(value, bool) != (field.type is bool) or not isinstance(value, types):
                 raise ValidationError(f"{field.name} must be {kind}, not {value!r}")
+        for name, choices in _FLAG_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValidationError(f"{name} must be one of {choices}, not "
+                                      f"{getattr(self, name)!r}")
         if not 0.0 < self.dss_threshold < 1.0:
             raise ValidationError(f"dss_threshold must lie in (0, 1), not {self.dss_threshold}")
         if not self.bi_ec50_tolerance >= 0.0:
@@ -97,8 +101,6 @@ class RunConfig:
                            adapt_start=self.adapt_start, seed=self.seed)
 
     def prior_spec(self) -> PriorSpec:
-        if self.variance_prior not in VARIANCE_PRIORS:
-            raise ValidationError(f"variance_prior must be one of {tuple(VARIANCE_PRIORS)}")
         var_prior = VARIANCE_PRIORS[self.variance_prior](self)
         lam = GammaPrior(self.lambda_shape, self.lambda_rate)
         slope = GammaPrior(self.b_shape, self.b_rate)
@@ -268,14 +270,13 @@ def _check_truth_axes(truth: dict, grid: LogConcGrid):
         raise ValidationError("truth grid does not match the plate grid")
 
 
-def _setup(args, file_values: dict):
-    """Resolved options, plate, grid and spline layout of fit and summarize."""
-    run_cfg = _merge_options(args, file_values)
+def _setup(args, run_cfg: RunConfig):
+    """Plate, grid and spline layout of fit and summarize."""
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
     spline = SplineSpec.for_grid(grid, k1=run_cfg.k1, k2=run_cfg.k2,
                                  degree=run_cfg.degree, penalty_ridge=run_cfg.ridge)
-    return run_cfg, data, grid, spline
+    return data, grid, spline
 
 
 def _summarize(posterior, run_cfg: RunConfig):
@@ -285,13 +286,18 @@ def _summarize(posterior, run_cfg: RunConfig):
 
 def _cmd_fit(args) -> int:
     outdir = _resolve_outdir(args.outdir)
-    run_cfg, data, grid, spline = _setup(args, cio.read_json(args.config) if args.config else {})
+    run_cfg = _merge_options(args, cio.read_json(args.config) if args.config else {})
+    if run_cfg.adapt_start is not None and run_cfg.adapt_start >= run_cfg.iters:
+        raise ValidationError(f"adapt_start {run_cfg.adapt_start} is not below iters "
+                              f"{run_cfg.iters}: no proposal would ever adapt")
+    chain_cfg = run_cfg.chain_config()
+    data, grid, spline = _setup(args, run_cfg)
     truth = None
     if args.truth:
         truth = cio.read_truth_csv(args.truth)
         _check_truth_axes(truth, grid)
     posterior = run_chains(data, run_cfg.chains, priors=run_cfg.prior_spec(),
-                           spline=spline, config=run_cfg.chain_config(),
+                           spline=spline, config=chain_cfg,
                            linear_scale=run_cfg.linear_scale)
     report = _summarize(posterior, run_cfg)
     lo, hi = ACCEPTANCE_RANGE
@@ -334,7 +340,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_summarize(args) -> int:
     outdir = _resolve_outdir(args.outdir)
     record_path, record, fitted_sha = _fit_record(args.samples)
-    run_cfg, data, grid, spline = _setup(args, record)
+    run_cfg = _merge_options(args, record)
+    data, grid, spline = _setup(args, run_cfg)
     plate_sha = _plate_sha256(data)
     if fitted_sha is None:
         raise ValidationError(f"fit record {record_path} has no plate_sha256; refit the plate "

@@ -10,8 +10,10 @@ variance (the five sigma2_phi and sigma2_eps). Every random-walk proposal
 ends in the same Metropolis step. After an initial adapt_start iterations
 every block's proposal covariance tracks the running sample covariance of
 its own history, scaled by a factor tuned toward a target acceptance rate
-with Robbins-Monro steps on the log scale. Under an Inverse-Gamma variance
-prior the variance blocks switch to exact conjugate draws.
+with Robbins-Monro steps on the log scale; the coefficient block refactors
+its covariance once every REFRESH iterations and moves B and prices its prior
+through Kronecker products of the per-axis matrices. Under an Inverse-Gamma
+variance prior the variance blocks switch to exact conjugate draws.
 """
 
 import math
@@ -48,10 +50,12 @@ DEFAULT_PROPOSAL_SCALES = {
     "sigma2_gamma1": 0.3, "sigma2_gamma2": 0.3, "sigma2_eps": 0.3,
 }
 
-# Proposal adaptation: the jitter added to each proposal covariance, the decay
-# of the Robbins-Monro steps and the target acceptance of one-dimensional and
-# of larger blocks (Roberts & Rosenthal 2009).
+# Proposal adaptation: the jitter added to each proposal covariance, the number
+# of observations between refreshes of a block's covariance factor above two
+# dimensions, the decay of the Robbins-Monro steps and the target acceptance of
+# one-dimensional and of larger blocks (Roberts & Rosenthal 2009).
 ADAPT_JITTER = 1e-6
+REFRESH = 50
 RM_DECAY = 0.7
 TARGET_ACCEPT_SCALAR = 0.44
 TARGET_ACCEPT_MULTI = 0.234
@@ -59,12 +63,14 @@ TARGET_ACCEPT_MULTI = 0.234
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Schedule of one MCMC chain."""
+    """Schedule of one MCMC chain. burn_in defaults to half of n_iter and
+    adapt_start, the iterations before proposals adapt, to min(1000,
+    burn_in // 2) but at least 1."""
 
     n_iter: int = 100_000
     burn_in: int = None
     thin: int = 10
-    adapt_start: int = 1000
+    adapt_start: int = None
     seed: int = 0
 
     def __post_init__(self):
@@ -77,11 +83,15 @@ class ChainConfig:
             raise ValidationError("thin must be at least 1")
         if (self.n_iter - burn_in) // self.thin < 1:
             raise ValidationError("schedule retains no samples")
-        if self.adapt_start < 1:
+        adapt_start = self.adapt_start
+        if adapt_start is None:
+            adapt_start = max(1, min(1000, burn_in // 2))
+        elif adapt_start < 1:
             raise ValidationError("adapt_start must be at least 1")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         object.__setattr__(self, "burn_in", int(burn_in))
+        object.__setattr__(self, "adapt_start", int(adapt_start))
 
     @property
     def n_retained(self) -> int:
@@ -106,6 +116,13 @@ class AdaptiveState:
     entries 00, 01 and 11) and factors its 2 x 2 covariance in closed form,
     with the operations and so the bits of the LAPACK factorisation behind
     np.linalg.cholesky; numpy's per-call overhead dominates at that size.
+
+    A larger block buffers its history and folds it into the sums one batch
+    of REFRESH observations at a time. Its factor chol is that of cov +
+    ADAPT_JITTER I, refreshed after each batch once adaptation has started,
+    and a step is exp(log_s / 2) chol z: since chol(s M) = sqrt(s) chol(M),
+    the scale still adapts on every observation while the factor is rebuilt
+    once per batch, in the manner of Roberts & Rosenthal (2009).
     """
 
     def __init__(self, dim, initial_scale, target, adapt_start):
@@ -124,6 +141,7 @@ class AdaptiveState:
             self.sum_tt = [0.0, 0.0, 0.0]
             self.chol = None
         else:
+            self.batch = np.empty((REFRESH, dim))
             self.sum_t = np.zeros(dim)
             self.sum_tt = np.zeros((dim, dim))
             self.jitter_eye = ADAPT_JITTER * np.eye(dim)
@@ -136,11 +154,14 @@ class AdaptiveState:
         z = rng.standard_normal(self.dim)
         if self.chol is None:
             return self.initial_scale * z
-        return self.chol @ z
+        if self.dim == 2:
+            return self.chol @ z
+        return math.exp(0.5 * self.log_s) * (self.chol @ z)
 
     def observe(self, t, accept_prob, iteration):
         """Record the post-update value t and adapt after adapt_start."""
         self.count += 1
+        refresh = False
         if self.dim == 1:
             self.sum_t += t
             self.sum_tt += t * t
@@ -152,8 +173,12 @@ class AdaptiveState:
             self.sum_tt[1] += t0 * t1
             self.sum_tt[2] += t1 * t1
         else:
-            self.sum_t += t
-            self.sum_tt += t[:, None] * t
+            row = (self.count - 1) % REFRESH
+            self.batch[row] = t
+            refresh = row == REFRESH - 1
+            if refresh:
+                self.sum_t += self.batch.sum(axis=0)
+                self.sum_tt += self.batch.T @ self.batch
         if iteration <= self.adapt_start or self.count < 2:
             return
         self.log_s += iteration ** (-RM_DECAY) * (accept_prob - self.target)
@@ -176,14 +201,13 @@ class AdaptiveState:
                 pivot = a22 - l21 * l21
                 if pivot > 0.0:
                     self.chol = np.array(((l11, 0.0), (l21, math.sqrt(pivot))))
-        else:
-            # s * (cov + jitter I), built in place in the order of that expression
+        elif refresh:
+            # cov + jitter I, built in place
             xi = self.sum_t[:, None] * self.sum_t
             xi /= n
             np.subtract(self.sum_tt, xi, out=xi)
             xi /= n - 1
             xi += self.jitter_eye
-            xi *= s
             try:
                 self.chol = np.linalg.cholesky(xi)
             except np.linalg.LinAlgError:
@@ -277,14 +301,17 @@ class _Sampler:
         self.linear_scale = linear_scale
         self.chain_index = chain_index
 
-        self.basis1 = basis_matrix(grid.logc1, spline.knots1, spline.degree)
-        self.basis2 = basis_matrix(grid.logc2, spline.knots2, spline.degree)
-        self.mask = grid.border_mask()
+        # basis1 @ C @ basis2.T and sum(prec2 * (C.T @ prec1 @ C)) as one design
+        # and one precision acting on c, the coefficients C raveled row-major
+        self.design = np.kron(basis_matrix(grid.logc1, spline.knots1, spline.degree),
+                              basis_matrix(grid.logc2, spline.knots2, spline.degree))
+        self.precision = np.kron(penalty_precision(spline.k1, spline.penalty_ridge),
+                                 penalty_precision(spline.k2, spline.penalty_ridge))
+        # the border mask once per numerator, so masking needs no broadcast
+        self.mask = np.stack((grid.border_mask(),) * 2)
         u1, u2 = linear_axes(grid, linear_scale)
         # what a unit step of each gamma adds to the predictor B
         self.shift = {"gamma0": 1.0, "gamma1": u1[:, None], "gamma2": u2[None, :]}
-        self.prec1 = penalty_precision(spline.k1, spline.penalty_ridge)
-        self.prec2 = penalty_precision(spline.k2, spline.penalty_ridge)
 
         # the sums of the data enter only the sum of squares, which a chain
         # without a likelihood does not compute
@@ -306,7 +333,7 @@ class _Sampler:
 
         start = initial_state(grid, spline) if initial is None else check_row(initial, spline)
         self.theta = start[:N_SCALARS].tolist()
-        self.C = start[N_SCALARS:].reshape(spline.k1, spline.k2).copy()
+        self.c = start[N_SCALARS:].copy()
         m1, m2, lam1, lam2, b1, b2, g0, g1, g2 = self.theta[:9]
 
         self.likelihood = not prior_only
@@ -314,10 +341,10 @@ class _Sampler:
         self.f2 = self._curve(grid.logc2, m2, lam2)
         self.p0_parts = self._p0_parts(self.f1, self.f2)
         lin = g0 + g1 * self.shift["gamma1"] + g2 * self.shift["gamma2"]
-        self.bpred = lin + self.basis1 @ self.C @ self.basis2.T
+        self.bpred = lin + (self.design @ self.c).reshape(grid.shape)
         self.slopes = self._slopes(b1, b2)
         self.link_parts = self._link_parts(self.bpred, self.slopes)
-        self.quad = float(np.sum(self.prec2 * (self.C.T @ self.prec1 @ self.C)))
+        self.quad = float(self.c @ (self.precision @ self.c))
         self.delta, self.ss = self._fit(self.p0_parts, self.link_parts)
 
         start_ll = self._loglik(self.ss, self.theta[COLUMN["sigma2_eps"]])
@@ -364,8 +391,11 @@ class _Sampler:
         if not self.likelihood:
             return None
         p0 = f1[:, None] * f2
-        # 0.0 - p0 is -p0 up to the sign of a zero, which leaves Delta unchanged
-        return p0, np.subtract(_NUMERATOR_SHIFT, p0)
+        # 0.0 - p0 is -p0 up to the sign of a zero, which leaves Delta unchanged;
+        # masking the numerators zeroes Delta on the borders, as masking Delta does
+        numerators = np.subtract(_NUMERATOR_SHIFT, p0)
+        numerators *= self.mask
+        return p0, numerators
 
     @staticmethod
     def _slopes(b1, b2):
@@ -373,11 +403,12 @@ class _Sampler:
         return np.array((b1, -b2)).reshape(2, 1, 1)
 
     def _link_parts(self, bpred, slopes):
-        """The stacked denominators 1 + exp(b1 B) and 1 + exp(-b2 B)."""
+        """The stacked denominators 1 + exp(b1 B) and 1 + exp(-b2 B). Only the
+        upper clamp of model.link_values is applied: below -EXP_CLAMP both give
+        a denominator of exactly 1.0."""
         if not self.likelihood:
             return None
         d = bpred * slopes
-        np.maximum(d, -EXP_CLAMP, out=d)
         np.minimum(d, EXP_CLAMP, out=d)
         np.exp(d, out=d)
         d += 1.0
@@ -390,7 +421,6 @@ class _Sampler:
         p0, numerators = p0_parts
         terms = numerators / link_parts
         delta = np.add(terms[0], terms[1], out=terms[0])
-        delta *= self.mask
         p = p0 + delta
         ss = self.n_rep * float(np.vdot(p, p)) - 2.0 * float(np.vdot(p, self.s1)) + self.s2_total
         return delta, ss
@@ -501,16 +531,14 @@ class _Sampler:
 
     def _update_C(self, iteration):
         step = self.adapters["C"].propose_step(self.rng)
-        dC = step.reshape(self.C.shape)
-        Cc = self.C + dC
-        dspl = self.basis1 @ dC @ self.basis2.T
-        bpredc = self.bpred + dspl
+        cc = self.c + step
+        bpredc = self.bpred + (self.design @ step).reshape(self.bpred.shape)
         linkc = self._link_parts(bpredc, self.slopes)
         deltac, ssc = self._fit(self.p0_parts, linkc)
-        quadc = float((self.prec2 * (Cc.T @ self.prec1 @ Cc)).sum())
+        quadc = float(cc @ (self.precision @ cc))
         log_a = self._lik_ratio(ssc) - 0.5 * (quadc - self.quad)
-        if self._step("C", log_a, self.C.ravel(), Cc.ravel(), iteration):
-            self.C = Cc
+        if self._step("C", log_a, self.c, cc, iteration):
+            self.c = cc
             self.bpred, self.link_parts = bpredc, linkc
             self.quad = quadc
             self.delta, self.ss = deltac, ssc
@@ -547,7 +575,7 @@ class _Sampler:
 
     def run(self) -> Posterior:
         cfg = self.config
-        draws = np.empty((cfg.n_retained, N_SCALARS + self.C.size))
+        draws = np.empty((cfg.n_retained, N_SCALARS + self.c.size))
         updates = {
             "b": self._update_b, "C": self._update_C,
             **{name: partial(self._update_curve, name)
@@ -568,7 +596,7 @@ class _Sampler:
             if rest == 0:
                 row = draws[kept - 1]
                 row[:N_SCALARS] = self.theta
-                row[N_SCALARS:] = self.C.ravel()
+                row[N_SCALARS:] = self.c
         counts = self._counts()
         after = {name: (a - at_burn_in[name][0], n - at_burn_in[name][1])
                  for name, (a, n) in counts.items()}

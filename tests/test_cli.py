@@ -151,6 +151,8 @@ BAD_OPTIONS = {
     "string_bool": ([], {"swap_interaction_labels": "no"}),
     "string_ridge": ([], {"ridge": "x"}),
     "string_hc_scale": ([], {"hc_scale": "1"}),
+    "variance_prior_xx": ([], {"variance_prior": "xx"}),
+    "linear_scale_xx": ([], {"linear_scale": "xx"}),
 }
 
 
@@ -174,6 +176,24 @@ def test_bad_options_fail_before_the_plate_is_read(tmp_path, plate_csv, monkeypa
     assert main(argv + flags + ["--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags, values", [
+    (["--iters", "600", "--adapt-start", "600"], {}),
+    (["--iters", "600"], {"adapt_start": 1000}),
+], ids=["equal_flag", "above_in_config"])
+def test_fit_rejects_adapt_start_at_or_above_iters(tmp_path, plate_csv, monkeypatch, capsys,
+                                                   flags, values):
+    import combofit.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli.cio, "ingest_plate", lambda *a, **k: calls.append(a))
+    write_json(tmp_path / "config.json", values)
+    assert main(["fit", "--input", str(plate_csv), "--config", str(tmp_path / "config.json"),
+                 "--outdir", str(tmp_path / "out"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: adapt_start") and err.count("\n") == 1
     assert calls == []
 
 
@@ -216,6 +236,21 @@ def test_summarize_matches_fit(tmp_path, plate_csv, fit_flags):
     for key in ("config", "plate_sha256", "n_samples", "lpml", "dss", "rvus",
                 "bi_ec50_points"):
         assert summary[key] == fit_summary[key]
+
+
+def test_summarize_reads_a_record_that_never_adapted(tmp_path, plate_csv):
+    # fit records written while --adapt-start defaulted to 1000 hold it next to
+    # fewer iterations; summarising their draws needs no adaptation
+    fit_dir = tmp_path / "fit"
+    assert _fit(plate_csv, fit_dir) == 0
+    record = read_json(fit_dir / "summary.json")
+    assert record["config"]["adapt_start"] is None
+    record["config"]["adapt_start"] = 1000
+    write_json(fit_dir / "summary.json", record)
+    assert main(["summarize", "--input", str(plate_csv),
+                 "--samples", str(fit_dir / "samples.csv"),
+                 "--outdir", str(tmp_path / "summ")]) == 0
+    assert read_json(tmp_path / "summ" / "summary.json")["lpml"] == record["lpml"]
 
 
 def test_summarize_rejects_a_different_coefficient_layout(tmp_path, plate_csv, capsys):

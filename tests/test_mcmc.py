@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from combofit import (AdaptiveState, ChainConfig, InitializationError,
-                      InverseGammaPrior, Posterior, PriorSpec, ValidationError,
-                      initial_state, run_chain, run_chains, variance_posterior_params)
-from combofit.mcmc import (_REBUILD_BLOCK, BLOCK_NAMES, DEFAULT_PROPOSAL_SCALES, _Sampler,
-                           draw_inverse_gamma)
+                      InverseGammaPrior, Posterior, PriorSpec, SplineSpec,
+                      ValidationError, initial_state, run_chain, run_chains,
+                      variance_posterior_params)
+from combofit.mcmc import (_REBUILD_BLOCK, ADAPT_JITTER, BLOCK_NAMES,
+                           DEFAULT_PROPOSAL_SCALES, REFRESH, _Sampler, draw_inverse_gamma)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
                             SurfaceDesign, surfaces)
+from combofit.splines import basis_matrix, penalty_precision
 
 TINY = ChainConfig(n_iter=100, burn_in=50, thin=5, seed=3)
 
@@ -24,7 +28,12 @@ def test_config_defaults_and_retention():
     config = ChainConfig()
     assert config.burn_in == 50_000
     assert config.n_retained == 5_000
+    assert config.adapt_start == 1000
     assert TINY.n_retained == 10
+    # adaptation starts halfway through a short burn-in, and at once without one
+    assert TINY.adapt_start == 25
+    assert ChainConfig(n_iter=7, burn_in=0, thin=2).adapt_start == 1
+    assert ChainConfig(adapt_start=10_000).adapt_start == 10_000
     assert ChainConfig(n_iter=7, burn_in=0, thin=2).n_retained == 3
 
 
@@ -68,11 +77,11 @@ def test_constant_history_collapses_to_jitter_floor():
     # zero empirical variance: proposal sd is sqrt(s * jitter) with s untouched
     assert ad.step_sd == pytest.approx(2.38 * math.sqrt(1e-6), rel=1e-6)
     ad3 = _adapter(3, target=0.234)
-    for i in range(1, 51):
+    for i in range(1, REFRESH + 1):
         ad3.observe(np.array([0.5, -1.0, 2.0]), 0.234, i)
     s = 2.38 ** 2 / 3.0
-    np.testing.assert_allclose(ad3.chol, math.sqrt(s * 1e-6) * np.eye(3),
-                               atol=1e-9)
+    np.testing.assert_allclose(math.exp(ad3.log_s / 2) * ad3.chol,
+                               math.sqrt(s * 1e-6) * np.eye(3), atol=1e-9)
 
 
 def test_scale_is_fixed_at_target_acceptance():
@@ -98,11 +107,24 @@ def test_running_covariance_matches_recomputed_history():
     rng = np.random.default_rng(11)
     history = rng.normal(0.0, 1.4, size=(500, 3)) @ np.diag([1.0, 0.3, 2.0])
     ad = _adapter(3)
+    factors = []
     for i, t in enumerate(history, start=1):
-        ad.observe(t, 0.3, i)
-    # the proposal covariance is exp(log_s) * (running covariance + jitter I)
-    running = ad.chol @ ad.chol.T / math.exp(ad.log_s) - 1e-6 * np.eye(3)
-    np.testing.assert_allclose(running, np.cov(history.T, ddof=1), atol=1e-9)
+        before = ad.chol
+        ad.observe(t, float(rng.random()), i)
+        if i % REFRESH or i <= ad.adapt_start:
+            # between refreshes the factor stays; only the scale adapts
+            assert ad.chol is before
+            continue
+        # at every refresh the factor is that of the recorded history's
+        # covariance plus the jitter
+        want = np.linalg.cholesky(np.cov(history[:i].T, ddof=1) + ADAPT_JITTER * np.eye(3))
+        np.testing.assert_allclose(ad.chol, want, rtol=1e-9, atol=1e-12)
+        factors.append(ad.chol)
+        # a step is exp(log_s / 2) L z
+        z = np.random.default_rng(i).standard_normal(3)
+        np.testing.assert_array_equal(ad.propose_step(np.random.default_rng(i)),
+                                      math.exp(ad.log_s / 2) * (ad.chol @ z))
+    assert len(factors) == len(history) // REFRESH
     scalar = rng.normal(2.0, 0.7, 500)
     ad1 = _adapter(1)
     for i, t in enumerate(scalar, start=1):
@@ -315,6 +337,32 @@ def test_explicit_default_start_keeps_the_stream(small_plate, small_grid, small_
 
 # ---------------------------------------------------------------------------
 # Reconstruction and multi-chain helpers
+
+
+# the plate and grid fixtures are only read, so hypothesis may share them
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k1=st.integers(4, 8), k2=st.integers(4, 8), degree=st.integers(1, 3),
+       linear_scale=st.sampled_from(LINEAR_SCALES), scale=st.sampled_from((1.0, 3e3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kronecker_designs_match_the_factored_products(small_plate, small_grid, k1, k2, degree,
+                                                       linear_scale, scale, seed):
+    # the sampler moves B and prices the C prior through kron(basis1, basis2)
+    # and kron(prec1, prec2) acting on C raveled row-major
+    grid = small_grid
+    spline = SplineSpec.for_grid(grid, k1=k1, k2=k2, degree=degree)
+    sampler = _Sampler(small_plate, PriorSpec(), spline, TINY, linear_scale, None, False, None,
+                       0)
+    basis1 = basis_matrix(grid.logc1, spline.knots1, degree)
+    basis2 = basis_matrix(grid.logc2, spline.knots2, degree)
+    prec1 = penalty_precision(k1, spline.penalty_ridge)
+    prec2 = penalty_precision(k2, spline.penalty_ridge)
+    C = scale * np.random.default_rng(seed).standard_normal((k1, k2))
+    moved = (sampler.design @ C.ravel()).reshape(grid.shape)
+    want = basis1 @ C @ basis2.T
+    assert np.abs(moved - want).max() <= 1e-12 * np.abs(want).max()
+    quad = C.ravel() @ sampler.precision @ C.ravel()
+    assert quad == pytest.approx(np.sum(prec2 * (C.T @ prec1 @ C)), rel=1e-12, abs=0.0)
 
 
 def test_sampler_surfaces_match_the_kernel(small_plate, small_grid, small_spline):
