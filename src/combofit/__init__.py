@@ -7,8 +7,7 @@ classical Bliss/HSA/Loewe/ZIP reference surfaces, posterior summaries (DSS,
 rVUS, bi-dimensional EC50, LPML) and a synthetic-plate generator.
 """
 
-from .baselines import (BASELINE_METHODS, MonoFit, ZipFit, baseline_delta,
-                        baseline_surface, bliss_surface, fit_2ll,
+from .baselines import (BASELINE_METHODS, MonoFit, baseline_delta, bliss_surface, fit_2ll,
                         fit_monotherapies, hsa_surface, loewe_surface, zip_surface)
 from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import (CombofitError, FitConvergenceError, InitializationError,
@@ -16,12 +15,12 @@ from .errors import (CombofitError, FitConvergenceError, InitializationError,
 from .mcmc import (BLOCK_NAMES, AdaptiveState, ChainConfig, Posterior, run_chain,
                    run_chains, variance_posterior_params)
 from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
-                    initial_state, log_logistic_2ll, log_prior)
+                    curve_values, initial_state, log_prior)
 from .simulate import (SimScenario, interaction_field, normal_cdf,
                        reference_grid, sample_plate, truth_delta, truth_p0)
 from .splines import SplineSpec, basis_matrix, penalty_precision
-from .summaries import (SummaryReport, bi_ec50, combination_columns, dss,
-                        fine_mean_surface, lpml, mse_surface, rvus,
+from .summaries import (LpmlStream, SummaryReport, bi_ec50, combination_columns,
+                        dss_scores, fine_mean_surface, mean_heights, mse_surface,
                         summarize_chains)
 
 __version__ = "0.1.0"
@@ -29,13 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveState", "BASELINE_METHODS", "BLOCK_NAMES", "ChainConfig", "CombofitError",
     "FitConvergenceError", "GammaPrior", "HalfCauchyPrior", "InitializationError",
-    "InverseGammaPrior", "LogConcGrid", "MonoFit", "NumericError", "PlateDataset",
-    "Posterior", "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport",
-    "SurfaceGrid", "ValidationError", "ZipFit", "baseline_delta", "baseline_surface",
-    "basis_matrix", "bi_ec50", "bliss_surface", "combination_columns", "dss",
+    "InverseGammaPrior", "LogConcGrid", "LpmlStream", "MonoFit", "NumericError",
+    "PlateDataset", "Posterior", "PriorSpec", "SimScenario", "SplineSpec", "SummaryReport",
+    "SurfaceGrid", "ValidationError", "baseline_delta", "basis_matrix", "bi_ec50",
+    "bliss_surface", "combination_columns", "curve_values", "dss_scores",
     "fine_mean_surface", "fit_2ll", "fit_monotherapies", "hsa_surface", "initial_state",
-    "interaction_field", "loewe_surface", "log_logistic_2ll", "log_prior", "lpml",
-    "mse_surface", "normal_cdf", "penalty_precision", "reference_grid", "run_chain",
-    "run_chains", "rvus", "sample_plate", "summarize_chains", "truth_delta", "truth_p0",
+    "interaction_field", "loewe_surface", "log_prior", "mean_heights", "mse_surface",
+    "normal_cdf", "penalty_precision", "reference_grid", "run_chain", "run_chains",
+    "sample_plate", "summarize_chains", "truth_delta", "truth_p0",
     "variance_posterior_params", "zip_surface",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import FitConvergenceError, ValidationError
-from .model import log_logistic_2ll
+from .model import curve_values
 
 # Search boxes for the least-squares fit. EC50 may sit well outside the
 # observed range (no-effect data), the slope is kept positive.
@@ -33,7 +33,7 @@ class MonoFit:
     lambda_at_bound: bool
 
     def curve(self, logx):
-        return log_logistic_2ll(logx, self.m, self.lam)
+        return curve_values(logx, self.m, self.lam)
 
 
 def _golden_min(fn, lo, hi, tol=1e-11, max_iter=300):
@@ -80,7 +80,7 @@ def fit_2ll(logx, y, max_sweeps: int = 100) -> MonoFit:
         raise ValidationError("concentrations must span at least one decade (log10)")
 
     def rss_of(m, lam):
-        r = y - log_logistic_2ll(logx, m, lam)
+        r = y - curve_values(logx, m, lam)
         return float(r @ r)
 
     m_lo, m_hi = distinct[0] - _M_MARGIN, distinct[-1] + _M_MARGIN
@@ -202,17 +202,9 @@ def loewe_surface(fit1: MonoFit, fit2: MonoFit, grid: LogConcGrid):
     return surface, flagged
 
 
-@dataclass(frozen=True)
-class ZipFit:
-    """Simplified potency-shift surface plus its fallback diagnostic."""
-
-    surface: SurfaceGrid
-    fell_back: bool
-
-
-def zip_surface(fit1: MonoFit, fit2: MonoFit, data: PlateDataset,
-                grid: LogConcGrid) -> ZipFit:
-    """Simplified potency-shift expected surface.
+def zip_surface(fit1: MonoFit, fit2: MonoFit, data: PlateDataset, grid: LogConcGrid):
+    """Simplified potency-shift expected surface; returns (SurfaceGrid,
+    fell_back).
 
     Every row (and column) gets its own re-fitted conditional curve on
     responses normalised by the fitted marginal of the conditioning drug; the
@@ -235,43 +227,36 @@ def zip_surface(fit1: MonoFit, fit2: MonoFit, data: PlateDataset,
             z = np.minimum(ym[:, j] / f2[j], 10.0)
             cols[:, j] = f2[j] * fit_2ll(grid.logc1, z).curve(grid.logc1)
     except (FitConvergenceError, ValidationError):
-        return ZipFit(surface=bliss_surface(fit1, fit2, grid), fell_back=True)
+        return bliss_surface(fit1, fit2, grid), True
     values = 0.5 * (rows + cols)
-    surface = SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label="zip")
-    return ZipFit(surface=surface, fell_back=False)
+    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label="zip"), False
 
 
 BASELINE_METHODS = ("bliss", "hsa", "loewe", "zip")
 
 
-def baseline_surface(data: PlateDataset, method: str, grid: LogConcGrid = None):
-    """Compute one named baseline surface; returns (SurfaceGrid, info dict)."""
+def baseline_delta(data: PlateDataset, method: str, grid: LogConcGrid = None):
+    """One named baseline surface and its interaction estimate delta_hat =
+    replicate mean - baseline surface; returns (delta_hat, surface, info),
+    info holding the monotherapy fits and the method's diagnostics."""
     if method not in BASELINE_METHODS:
         raise ValidationError(f"method must be one of {BASELINE_METHODS}")
     if grid is None:
         grid = LogConcGrid.from_dataset(data)
     ym = data.replicate_mean()
+    info = {}
     if method == "hsa":
-        return hsa_surface(ym[:, 0], ym[0, :], grid), {}
-    fit1, fit2 = fit_monotherapies(data, grid)
-    info = {"fit1": fit1, "fit2": fit2}
-    if method == "bliss":
-        return bliss_surface(fit1, fit2, grid), info
-    if method == "loewe":
-        surface, flagged = loewe_surface(fit1, fit2, grid)
-        info["flagged_cells"] = int(flagged.sum())
-        return surface, info
-    zf = zip_surface(fit1, fit2, data, grid)
-    info["fell_back"] = zf.fell_back
-    return zf.surface, info
-
-
-def baseline_delta(data: PlateDataset, method: str, grid: LogConcGrid = None):
-    """Interaction estimate delta_hat = replicate mean - baseline surface."""
-    if grid is None:
-        grid = LogConcGrid.from_dataset(data)
-    surface, info = baseline_surface(data, method, grid)
-    delta = SurfaceGrid(values=data.replicate_mean() - surface.values,
-                        axis1=grid.logc1, axis2=grid.logc2,
+        surface = hsa_surface(ym[:, 0], ym[0, :], grid)
+    else:
+        fit1, fit2 = fit_monotherapies(data, grid)
+        info = {"fit1": fit1, "fit2": fit2}
+        if method == "bliss":
+            surface = bliss_surface(fit1, fit2, grid)
+        elif method == "loewe":
+            surface, flagged = loewe_surface(fit1, fit2, grid)
+            info["flagged_cells"] = int(flagged.sum())
+        else:
+            surface, info["fell_back"] = zip_surface(fit1, fit2, data, grid)
+    delta = SurfaceGrid(values=ym - surface.values, axis1=grid.logc1, axis2=grid.logc2,
                         label=f"delta_{method}")
     return delta, surface, info

@@ -26,8 +26,9 @@ from .data import LogConcGrid, PlateDataset
 from .errors import InitializationError, ValidationError
 from .model import (COLUMN, EXP_CLAMP, N_SCALARS, HalfCauchyPrior, InverseGammaPrior,
                     PriorSpec, SurfaceDesign, check_row, curve_values, initial_state,
-                    linear_axes, log_prior, observation_log_densities, surfaces)
-from .splines import SplineSpec, basis_matrix, penalty_precision
+                    link_delta, link_denominators, link_numerators, log_prior,
+                    observation_log_densities, surfaces)
+from .splines import SplineSpec, penalty_precision
 
 BLOCK_NAMES = (
     "m1", "m2", "lambda1", "lambda2", "b",
@@ -39,9 +40,6 @@ BLOCK_NAMES = (
 # Draws per block when a chain's surfaces are derived from its draws; bounds
 # the temporaries at a few hundred kB on a plate-sized grid.
 _REBUILD_BLOCK = 128
-
-# Subtracting p0 from these gives the link's numerators -p0 and 1 - p0.
-_NUMERATOR_SHIFT = np.array((0.0, 1.0)).reshape(2, 1, 1)
 
 DEFAULT_PROPOSAL_SCALES = {
     "m1": 0.1, "m2": 0.1, "lambda1": 0.1, "lambda2": 0.1, "b": 0.15,
@@ -302,16 +300,16 @@ class _Sampler:
         self.chain_index = chain_index
 
         # basis1 @ C @ basis2.T and sum(prec2 * (C.T @ prec1 @ C)) as one design
-        # and one precision acting on c, the coefficients C raveled row-major
-        self.design = np.kron(basis_matrix(grid.logc1, spline.knots1, spline.degree),
-                              basis_matrix(grid.logc2, spline.knots2, spline.degree))
+        # and one precision acting on c, the coefficients C raveled row-major,
+        # and what a unit step of each gamma adds to the predictor B
+        surface = SurfaceDesign.on_grid(grid, spline, linear_scale)
+        self.design = np.kron(surface.lift1[:, :spline.k1], surface.lift2[:, :spline.k2])
         self.precision = np.kron(penalty_precision(spline.k1, spline.penalty_ridge),
                                  penalty_precision(spline.k2, spline.penalty_ridge))
+        self.shift = {name: np.outer(surface.lift1[:, i], surface.lift2[:, j])
+                      for name, (i, j) in surface.gamma_cells.items()}
         # the border mask once per numerator, so masking needs no broadcast
-        self.mask = np.stack((grid.border_mask(),) * 2)
-        u1, u2 = linear_axes(grid, linear_scale)
-        # what a unit step of each gamma adds to the predictor B
-        self.shift = {"gamma0": 1.0, "gamma1": u1[:, None], "gamma2": u2[None, :]}
+        self.mask = np.stack((surface.mask,) * 2)
 
         # the sums of the data enter only the sum of squares, which a chain
         # without a likelihood does not compute
@@ -334,18 +332,21 @@ class _Sampler:
         start = initial_state(grid, spline) if initial is None else check_row(initial, spline)
         self.theta = start[:N_SCALARS].tolist()
         self.c = start[N_SCALARS:].copy()
-        m1, m2, lam1, lam2, b1, b2, g0, g1, g2 = self.theta[:9]
+        self.quad = float(self.c @ (self.precision @ self.c))
 
         self.likelihood = not prior_only
-        self.f1 = self._curve(grid.logc1, m1, lam1)
-        self.f2 = self._curve(grid.logc2, m2, lam2)
-        self.p0_parts = self._p0_parts(self.f1, self.f2)
-        lin = g0 + g1 * self.shift["gamma1"] + g2 * self.shift["gamma2"]
-        self.bpred = lin + (self.design @ self.c).reshape(grid.shape)
-        self.slopes = self._slopes(b1, b2)
-        self.link_parts = self._link_parts(self.bpred, self.slopes)
-        self.quad = float(self.c @ (self.precision @ self.c))
-        self.delta, self.ss = self._fit(self.p0_parts, self.link_parts)
+        self.ss, self.parts = 0.0, None
+        if self.likelihood:
+            m1, m2, lam1, lam2, b1, b2, g0, g1, g2 = self.theta[:9]
+            f1, f2 = curve_values(grid.logc1, m1, lam1), curve_values(grid.logc2, m2, lam2)
+            p0 = f1[:, None] * f2
+            bpred = (g0 * self.shift["gamma0"] + g1 * self.shift["gamma1"]
+                     + g2 * self.shift["gamma2"] + (self.design @ self.c).reshape(grid.shape))
+            slopes = np.array((b1, -b2)).reshape(2, 1, 1)
+            numerators = link_numerators(p0, self.mask)
+            denominators = link_denominators(bpred, slopes)
+            self.ss = self._fit(p0, numerators, denominators)
+            self.parts = (f1, f2, p0, numerators, bpred, slopes, denominators)
 
         start_ll = self._loglik(self.ss, self.theta[COLUMN["sigma2_eps"]])
         start_lp = log_prior(start, priors, spline)
@@ -374,56 +375,43 @@ class _Sampler:
 
     # -- numerics ----------------------------------------------------------
 
-    # Delta = -p0 / (1 + exp(b1 B)) + (1 - p0) / (1 + exp(-b2 B)), as in
-    # model.link_values, with the same operations. Each block update changes
-    # either p0 (m, lambda) or the denominators (b, gamma, C), so the sampler
-    # keeps the numerators and the denominators, each pair stacked on a
-    # leading axis of two, and recomputes only the pair a proposal touches.
-    # Without a likelihood nothing on the grid enters an acceptance ratio:
-    # these helpers then skip the grid and _fit reports ss = 0.0, the exact
+    # parts, the grid state of a chain with a likelihood: (f1, f2, p0, the
+    # link's numerators, B, the slopes, the link's denominators). Each block
+    # update changes either p0 (m, lambda) or the denominators (b, gamma, C),
+    # so a proposal recomputes only that side of the link. Without a
+    # likelihood nothing on the grid enters an acceptance ratio: parts is
+    # None, _propose touches no grid, B included, and ss is 0.0, the exact
     # value the full computation gives when there is no data.
 
-    def _curve(self, axis, m, lam):
-        return curve_values(axis, m, lam) if self.likelihood else None
-
-    def _p0_parts(self, f1, f2):
-        """p0 = f1 f2^T and the stacked numerators -p0 and 1 - p0."""
+    def _propose(self, name, value):
+        """The residual sum of squares and the parts after block name moves:
+        value is (m, lam) of the drug for m1, m2, lambda1 and lambda2, (b1, b2)
+        for b, and the step for a gamma or C."""
         if not self.likelihood:
-            return None
-        p0 = f1[:, None] * f2
-        # 0.0 - p0 is -p0 up to the sign of a zero, which leaves Delta unchanged;
-        # masking the numerators zeroes Delta on the borders, as masking Delta does
-        numerators = np.subtract(_NUMERATOR_SHIFT, p0)
-        numerators *= self.mask
-        return p0, numerators
+            return 0.0, None
+        f1, f2, p0, numerators, bpred, slopes, denominators = self.parts
+        if name[0] in "ml":
+            if name[-1] == "1":
+                f1 = curve_values(self.grid.logc1, *value)
+            else:
+                f2 = curve_values(self.grid.logc2, *value)
+            p0 = f1[:, None] * f2
+            numerators = link_numerators(p0, self.mask)
+        else:
+            if name == "b":
+                slopes = np.array((value[0], -value[1])).reshape(2, 1, 1)
+            elif name == "C":
+                bpred = bpred + (self.design @ value).reshape(bpred.shape)
+            else:
+                bpred = bpred + value * self.shift[name]
+            denominators = link_denominators(bpred, slopes)
+        return (self._fit(p0, numerators, denominators),
+                (f1, f2, p0, numerators, bpred, slopes, denominators))
 
-    @staticmethod
-    def _slopes(b1, b2):
-        """b1 and -b2 on a leading axis: the link's exponents are slopes * B."""
-        return np.array((b1, -b2)).reshape(2, 1, 1)
-
-    def _link_parts(self, bpred, slopes):
-        """The stacked denominators 1 + exp(b1 B) and 1 + exp(-b2 B). Only the
-        upper clamp of model.link_values is applied: below -EXP_CLAMP both give
-        a denominator of exactly 1.0."""
-        if not self.likelihood:
-            return None
-        d = bpred * slopes
-        np.minimum(d, EXP_CLAMP, out=d)
-        np.exp(d, out=d)
-        d += 1.0
-        return d
-
-    def _fit(self, p0_parts, link_parts):
-        """Delta and the residual sum of squares of the plate under p0 + Delta."""
-        if not self.likelihood:
-            return None, 0.0
-        p0, numerators = p0_parts
-        terms = numerators / link_parts
-        delta = np.add(terms[0], terms[1], out=terms[0])
-        p = p0 + delta
-        ss = self.n_rep * float(np.vdot(p, p)) - 2.0 * float(np.vdot(p, self.s1)) + self.s2_total
-        return delta, ss
+    def _fit(self, p0, numerators, denominators):
+        """The residual sum of squares of the plate under p0 + Delta."""
+        p = p0 + link_delta(numerators, denominators)
+        return self.n_rep * float(np.vdot(p, p)) - 2.0 * float(np.vdot(p, self.s1)) + self.s2_total
 
     def _loglik(self, ss, s2eps):
         if self.n_obs == 0:
@@ -481,16 +469,10 @@ class _Sampler:
             cand = cur + self.adapters[name].propose_step(self.rng)
             gain, cost = 0.0, self._normal_cost(name, cur, cand)
             m, lam, kept = cand, th[COLUMN["lambda" + drug]], cand
-        if drug == "1":
-            f1c, f2c = self._curve(self.grid.logc1, m, lam), self.f2
-        else:
-            f1c, f2c = self.f1, self._curve(self.grid.logc2, m, lam)
-        p0c = self._p0_parts(f1c, f2c)
-        deltac, ssc = self._fit(p0c, self.link_parts)
+        ssc, parts = self._propose(name, (m, lam))
         if self._step(name, self._lik_ratio(ssc) + gain - cost, t, kept, iteration):
             th[COLUMN[name]] = cand
-            self.f1, self.f2 = f1c, f2c
-            self.p0_parts, self.delta, self.ss = p0c, deltac, ssc
+            self.ss, self.parts = ssc, parts
 
     def _update_b(self, iteration):
         th = self.theta
@@ -502,9 +484,7 @@ class _Sampler:
         if not (b1c > 0.0 and b2c > 0.0 and math.isfinite(b1c) and math.isfinite(b2c)):
             self._step("b", -math.inf, t, tc, iteration)
             return
-        slopesc = self._slopes(b1c, b2c)
-        linkc = self._link_parts(self.bpred, slopesc)
-        deltac, ssc = self._fit(self.p0_parts, linkc)
+        ssc, parts = self._propose("b", (b1c, b2c))
         log_a = (self._lik_ratio(ssc)
                  + self.priors.b1.shape * (tc[0] - t[0])
                  - self.priors.b1.rate * (b1c - b1)
@@ -512,36 +492,29 @@ class _Sampler:
                  - self.priors.b2.rate * (b2c - b2))
         if self._step("b", log_a, t, tc, iteration):
             th[COLUMN["b1"]], th[COLUMN["b2"]] = b1c, b2c
-            self.slopes, self.link_parts = slopesc, linkc
-            self.delta, self.ss = deltac, ssc
+            self.ss, self.parts = ssc, parts
 
     def _update_gamma(self, name, iteration):
         th = self.theta
         cur = th[COLUMN[name]]
         step = self.adapters[name].propose_step(self.rng)
         cand = cur + step
-        bpredc = self.bpred + step * self.shift[name]
-        linkc = self._link_parts(bpredc, self.slopes)
-        deltac, ssc = self._fit(self.p0_parts, linkc)
+        ssc, parts = self._propose(name, step)
         log_a = self._lik_ratio(ssc) - self._normal_cost(name, cur, cand)
         if self._step(name, log_a, cur, cand, iteration):
             th[COLUMN[name]] = cand
-            self.bpred, self.link_parts = bpredc, linkc
-            self.delta, self.ss = deltac, ssc
+            self.ss, self.parts = ssc, parts
 
     def _update_C(self, iteration):
         step = self.adapters["C"].propose_step(self.rng)
         cc = self.c + step
-        bpredc = self.bpred + (self.design @ step).reshape(self.bpred.shape)
-        linkc = self._link_parts(bpredc, self.slopes)
-        deltac, ssc = self._fit(self.p0_parts, linkc)
+        ssc, parts = self._propose("C", step)
         quadc = float(cc @ (self.precision @ cc))
         log_a = self._lik_ratio(ssc) - 0.5 * (quadc - self.quad)
         if self._step("C", log_a, self.c, cc, iteration):
             self.c = cc
-            self.bpred, self.link_parts = bpredc, linkc
             self.quad = quadc
-            self.delta, self.ss = deltac, ssc
+            self.ss, self.parts = ssc, parts
 
     def _update_variance(self, name, iteration):
         """sigma2_eps or one sigma2_phi as the variance of n_terms Gaussian

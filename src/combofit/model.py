@@ -136,21 +136,13 @@ class PriorSpec:
 # Curves and link
 
 
-def log_logistic_2ll(logx, m: float, lam: float):
-    """2-parameter log-logistic viability curve with asymptotes (0, 1).
+def curve_values(logx, m, lam):
+    """2-parameter log-logistic viability curve with asymptotes (0, 1),
+    unchecked; m and lam broadcast against logx.
 
     f(logx) = 1 / (1 + 10^(lam * (logx - m))); m is the log10 EC50 and lam
     the (positive) slope, so f decreases from 1 toward 0 as logx grows.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValidationError("lam must be finite and positive")
-    if not math.isfinite(m):
-        raise ValidationError("m must be finite")
-    return curve_values(np.asarray(logx, dtype=float), m, lam)
-
-
-def curve_values(logx, m, lam):
-    """Unchecked log_logistic_2ll; m and lam broadcast against logx."""
     t = _clamped(lam * (logx - m), POW10_CLAMP)
     return 1.0 / (1.0 + np.exp(LN10 * t))
 
@@ -160,29 +152,39 @@ def _clamped(values, bound):
     return np.minimum(np.maximum(values, -bound), bound)
 
 
-def link_values(b_pred, p0, b1, b2):
-    """Bounded interaction link with range (-p0, 1 - p0), unchecked; every
-    argument broadcasts against the others.
-
-    g(B) = -p0 / (1 + exp(b1 * B)) + (1 - p0) / (1 + exp(-b2 * B)); adding it
-    to p0 therefore keeps the mean surface inside (0, 1). b1 and b2 control
-    how fast each bound is approached; with b1 = b2 = b the combined surface
-    p0 + g(B) collapses to the logistic 1 / (1 + exp(-b * B)).
-    """
-    z1 = _clamped(b1 * b_pred, EXP_CLAMP)
-    z2 = _clamped(-b2 * b_pred, EXP_CLAMP)
-    return -p0 / (1.0 + np.exp(z1)) + (1.0 - p0) / (1.0 + np.exp(z2))
+# The bounded interaction link Delta = -p0 / (1 + exp(b1 B)) + (1 - p0) /
+# (1 + exp(-b2 B)) has range (-p0, 1 - p0); with b1 = b2 = b, p0 + Delta is the
+# logistic 1 / (1 + exp(-b B)). It is kept factored, both sides stacked on a
+# pair axis before the grid axes: the numerators depend on p0 only, the
+# denominators on B and the slopes (b1, -b2) only.
+_NUMERATOR_SHIFT = np.array((0.0, 1.0)).reshape(2, 1, 1)
 
 
-def _linear_axis(axis, linear_scale):
-    if linear_scale not in LINEAR_SCALES:
-        raise ValidationError(f"linear_scale must be one of {LINEAR_SCALES}")
-    return axis if linear_scale == "log10" else 10.0 ** axis
+def link_numerators(p0, mask=None):
+    """-p0 (as 0.0 - p0, the same Delta) and 1 - p0 on the pair axis, times
+    the border mask unless it is None, which zeroes Delta on the borders; p0
+    is (n1, n2) for one state or (..., 1, n1, n2) for many."""
+    numerators = np.subtract(_NUMERATOR_SHIFT, p0)
+    if mask is not None:
+        numerators *= mask
+    return numerators
 
 
-def linear_axes(grid: LogConcGrid, linear_scale: str = "log10"):
-    """Concentration axes entering the linear part of the predictor."""
-    return _linear_axis(grid.logc1, linear_scale), _linear_axis(grid.logc2, linear_scale)
+def link_denominators(b_pred, slopes):
+    """1 + exp(b1 B) and 1 + exp(-b2 B) on the pair axis, from slopes b1 and
+    -b2 on that axis. Only the upper clamp is applied: below -EXP_CLAMP both
+    give a denominator of exactly 1.0."""
+    d = b_pred * slopes
+    np.minimum(d, EXP_CLAMP, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    return d
+
+
+def link_delta(numerators, denominators):
+    """Delta, the sum of the two quotients over the pair axis."""
+    terms = numerators / denominators
+    return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ class SurfaceDesign:
     The latent predictor of a draw is B = lift1 @ M @ lift2.T: each lift is a
     spline basis with a column of ones and the linear axis appended, and M
     (see coefficients) borders C with gamma0, gamma1 and gamma2. mask is the
-    border mask applied to Delta, or None.
+    border mask applied to the link's numerators, or None.
     """
 
     axis1: np.ndarray
@@ -208,9 +210,13 @@ class SurfaceDesign:
     @classmethod
     def on_axes(cls, axis1, axis2, spline: SplineSpec, linear_scale: str = "log10",
                 mask=None) -> "SurfaceDesign":
+        if linear_scale not in LINEAR_SCALES:
+            raise ValidationError(f"linear_scale must be one of {LINEAR_SCALES}")
+
         def lift(axis, knots):
+            linear = axis if linear_scale == "log10" else 10.0 ** axis
             return np.column_stack((basis_matrix(axis, knots, spline.degree),
-                                    np.ones(axis.size), _linear_axis(axis, linear_scale)))
+                                    np.ones(axis.size), linear))
         return cls(axis1, axis2, lift(axis1, spline.knots1), lift(axis2, spline.knots2), mask)
 
     @classmethod
@@ -218,16 +224,23 @@ class SurfaceDesign:
                 linear_scale: str = "log10") -> "SurfaceDesign":
         return cls.on_axes(grid.logc1, grid.logc2, spline, linear_scale, grid.border_mask())
 
+    @property
+    def gamma_cells(self) -> dict:
+        """Where M holds each gamma: gamma0 at [k1, k2], gamma1 at [k1 + 1, k2]
+        and gamma2 at [k1, k2 + 1]. A gamma at [i, j] adds itself times the
+        outer product of lift1[:, i] and lift2[:, j] to B."""
+        k1, k2 = self.lift1.shape[1] - 2, self.lift2.shape[1] - 2
+        return {"gamma0": (k1, k2), "gamma1": (k1 + 1, k2), "gamma2": (k1, k2 + 1)}
+
     def coefficients(self, draws: np.ndarray) -> np.ndarray:
-        """(n, k1 + 2, k2 + 2) stack of M: C, with gamma0 at [k1, k2], gamma1
-        at [k1 + 1, k2] and gamma2 at [k1, k2 + 1]."""
+        """(n, k1 + 2, k2 + 2) stack of M: C, bordered by the gamma_cells."""
         k1, k2 = self.lift1.shape[1] - 2, self.lift2.shape[1] - 2
         if draws.shape[1] != N_SCALARS + k1 * k2:
             raise ValidationError(f"draws have {draws.shape[1]} columns, the {k1} x {k2} "
                                   f"spline layout needs {N_SCALARS + k1 * k2}")
         coef = np.zeros((draws.shape[0], k1 + 2, k2 + 2))
         coef[:, :k1, :k2] = draws[:, N_SCALARS:].reshape(-1, k1, k2)
-        for name, at in (("gamma0", (k1, k2)), ("gamma1", (k1 + 1, k2)), ("gamma2", (k1, k2 + 1))):
+        for name, at in self.gamma_cells.items():
             coef[(slice(None), *at)] = draws[:, COLUMN[name]]
         return coef
 
@@ -244,9 +257,9 @@ def surfaces(draws: np.ndarray, design: SurfaceDesign):
     p0 = (curve_values(design.axis1, m1, lam1)[:, :, None]
           * curve_values(design.axis2, m2, lam2)[:, None, :])
     b_pred = design.lift1 @ design.coefficients(draws) @ design.lift2.T
-    delta = link_values(b_pred, p0, b1, b2)
-    if design.mask is not None:
-        delta *= design.mask
+    slopes = np.stack((b1, -b2), axis=1)
+    delta = link_delta(link_numerators(p0[:, None], design.mask),
+                       link_denominators(b_pred[:, None], slopes))
     return p0, delta
 
 

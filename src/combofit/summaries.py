@@ -19,29 +19,16 @@ ACCEPTANCE_RANGE = (0.05, 0.9)
 # Curve- and surface-level scores
 
 
-def dss(m: float, lam: float, conc_range, threshold: float = 0.10) -> float:
-    """Drug sensitivity score of a fitted 2LL curve over a log10 dose window.
+def dss_scores(m, lam, lo: float, hi: float, threshold: float):
+    """Drug sensitivity scores of fitted 2LL curves over the log10 dose window
+    [lo, hi], unchecked; m and lam broadcast.
 
     Activity a(x) = 1 - f(x) is integrated over the part of the window where
     it exceeds the threshold t; the score is
     100 * max(0, AUC - t * R) / ((1 - t) * R) with R the window width, so a
-    fully inactive drug scores 0 and a fully active one 100.
-    """
-    lo, hi = float(conc_range[0]), float(conc_range[1])
-    if not hi > lo:
-        raise ValidationError("conc_range must have positive width")
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError("threshold must lie in (0, 1)")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValidationError("lam must be finite and positive")
-    return float(dss_scores(np.float64(m), np.float64(lam), lo, hi, threshold))
-
-
-def dss_scores(m, lam, lo: float, hi: float, threshold: float):
-    """dss for arrays of m and lam, unchecked, from the closed-form integral.
-
-    Activity is increasing in x, so the above-threshold region is an interval
-    [x_t, hi] with x_t in closed form, and the activity has antiderivative
+    fully inactive drug scores 0 and a fully active one 100. Activity is
+    increasing in x, so the above-threshold region is an interval [x_t, hi]
+    with x_t in closed form, and the activity has antiderivative
     log10(1 + 10^(lam (x - m))) / lam.
     """
     width = hi - lo
@@ -53,29 +40,10 @@ def dss_scores(m, lam, lo: float, hi: float, threshold: float):
     return np.where(x_t >= hi, 0.0, score)
 
 
-def rvus(surface: SurfaceGrid, lower: float, upper: float) -> float:
-    """Volume under the surface, normalised by its bounding box.
-
-    Double trapezoid over the surface's axes divided by
-    (axis1 span) * (axis2 span) * (upper - lower); a constant surface c with
-    bounds (0, 1) scores exactly c.
-    """
-    if not upper > lower:
-        raise ValidationError("upper bound must exceed lower bound")
-    values = surface.values
-    if np.any(values < lower - 1e-12) or np.any(values > upper + 1e-12):
-        raise ValidationError("surface values fall outside the stated bounds")
-    span1 = surface.axis1[-1] - surface.axis1[0]
-    span2 = surface.axis2[-1] - surface.axis2[0]
-    if not (span1 > 0.0 and span2 > 0.0):
-        raise ValidationError("rvus needs at least two points per axis")
-    volume = float(mean_heights(values, surface.axis1, surface.axis2))
-    return (volume - lower) / (upper - lower)
-
-
 def mean_heights(values, axis1, axis2):
     """Trapezoid volume under each surface of a (..., n1, n2) stack divided by
-    the area of its axes' box, in one contraction with fixed weights."""
+    the area of its axes' box, in one contraction with fixed weights: the
+    rVUS of a surface with bounds (0, 1), so a constant surface c scores c."""
     w1, w2 = (np.trapezoid(np.eye(axis.size), axis) / (axis[-1] - axis[0])
               for axis in (axis1, axis2))
     return values.reshape(*values.shape[:-2], -1) @ np.outer(w1, w2).ravel()
@@ -94,26 +62,16 @@ def bi_ec50(p_surface: SurfaceGrid, tolerance: float = 0.01) -> np.ndarray:
     return np.column_stack((p_surface.axis1[ii], p_surface.axis2[jj]))
 
 
-def lpml(obs_log_densities: np.ndarray) -> float:
-    """Log pseudo-marginal likelihood: sum of log conditional predictive
-    ordinates, each the harmonic mean of per-sample observation densities.
-
-    Rows are posterior samples, columns observations. With a single sample
-    this reduces to that sample's total log likelihood.
-    """
-    ld = np.asarray(obs_log_densities, dtype=float)
-    if ld.ndim != 2 or ld.shape[0] < 1:
-        raise ValidationError("need a (samples, observations) log-density matrix")
-    stream = LpmlStream()
-    stream.add(ld)
-    return stream.value()
-
-
 class LpmlStream:
-    """lpml of the row-wise stack of (samples, observations) blocks that are
-    added one at a time and not kept. Per observation it keeps the lowest log
-    density so far, low, and the sum of exp(low - ld) over the rows so far; a
-    block that lowers low rescales that sum by exp(new_low - low)."""
+    """Log pseudo-marginal likelihood of the row-wise stack of (samples,
+    observations) log-density blocks that are added one at a time and not
+    kept: the sum of log conditional predictive ordinates, each the harmonic
+    mean of one observation's densities over the samples. With a single
+    sample it is that sample's total log likelihood.
+
+    Per observation it keeps the lowest log density so far, low, and the sum
+    of exp(low - ld) over the rows so far; a block that lowers low rescales
+    that sum by exp(new_low - low)."""
 
     def __init__(self):
         self.n_samples, self.low, self.total = 0, None, 0.0

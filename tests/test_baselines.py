@@ -3,10 +3,9 @@ import pytest
 
 from combofit import (FitConvergenceError, LogConcGrid, PlateDataset,
                       SimScenario, ValidationError, baseline_delta,
-                      baseline_surface, bliss_surface, fit_2ll,
+                      bliss_surface, curve_values, fit_2ll,
                       fit_monotherapies, hsa_surface, loewe_surface,
-                      log_logistic_2ll, reference_grid, sample_plate,
-                      truth_p0, zip_surface)
+                      reference_grid, sample_plate, truth_p0, zip_surface)
 from combofit.baselines import BASELINE_METHODS, MonoFit, loewe_cell
 
 
@@ -31,7 +30,7 @@ UNIT_GRID = _grid([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0],
 
 def test_fit_recovers_exact_curve():
     logx = np.linspace(-3.0, 3.0, 13)
-    y = log_logistic_2ll(logx, 0.0, 1.0)
+    y = curve_values(logx, 0.0, 1.0)
     fit = fit_2ll(logx, y)
     assert fit.m == pytest.approx(0.0, abs=1e-6)
     assert fit.lam == pytest.approx(1.0, abs=1e-6)
@@ -42,7 +41,7 @@ def test_fit_recovers_exact_curve():
 
 def test_fit_recovers_with_replication_and_offset():
     logx = np.repeat(np.linspace(-2.0, 4.0, 9), 2)
-    y = log_logistic_2ll(logx, 1.3, 0.6)
+    y = curve_values(logx, 1.3, 0.6)
     fit = fit_2ll(logx, y)
     assert fit.m == pytest.approx(1.3, abs=1e-5)
     assert fit.lam == pytest.approx(0.6, abs=1e-5)
@@ -94,8 +93,8 @@ def test_bliss_hand_value():
 def test_bliss_is_product_of_margins():
     fit1, fit2 = _mono(0.3, 0.8), _mono(-0.5, 1.4)
     surface = bliss_surface(fit1, fit2, UNIT_GRID)
-    expected = np.outer(log_logistic_2ll(UNIT_GRID.logc1, 0.3, 0.8),
-                        log_logistic_2ll(UNIT_GRID.logc2, -0.5, 1.4))
+    expected = np.outer(curve_values(UNIT_GRID.logc1, 0.3, 0.8),
+                        curve_values(UNIT_GRID.logc2, -0.5, 1.4))
     np.testing.assert_array_equal(surface.values, expected)
     # independence never exceeds either single agent
     assert (surface.values <= fit1.curve(UNIT_GRID.logc1)[:, None] + 1e-15).all()
@@ -169,8 +168,8 @@ def test_loewe_solution_satisfies_additivity():
 
 
 def _bliss_plate(m1, lam1, m2, lam2, grid):
-    f1 = log_logistic_2ll(grid.logc1, m1, lam1)
-    f2 = log_logistic_2ll(grid.logc2, m2, lam2)
+    f1 = curve_values(grid.logc1, m1, lam1)
+    f2 = curve_values(grid.logc2, m2, lam2)
     values = np.outer(f1, f2)
     return PlateDataset(conc1=np.concatenate(([0.0], 10.0 ** grid.logc1[1:])),
                         conc2=np.concatenate(([0.0], 10.0 ** grid.logc2[1:])),
@@ -182,10 +181,10 @@ def test_zip_recovers_bliss_on_independent_data():
     # curve, so the fitted marginals are essentially the truth
     data = _bliss_plate(0.0, 1.5, 0.5, 1.5, UNIT_GRID)
     fit1, fit2 = fit_monotherapies(data, UNIT_GRID)
-    zf = zip_surface(fit1, fit2, data, UNIT_GRID)
-    assert not zf.fell_back
+    surface, fell_back = zip_surface(fit1, fit2, data, UNIT_GRID)
+    assert not fell_back
     bliss = bliss_surface(fit1, fit2, UNIT_GRID)
-    np.testing.assert_allclose(zf.surface.values, bliss.values, atol=1e-5)
+    np.testing.assert_allclose(surface.values, bliss.values, atol=1e-5)
 
 
 def test_zip_falls_back_when_conditional_fits_cannot_run():
@@ -193,38 +192,37 @@ def test_zip_falls_back_when_conditional_fits_cannot_run():
     grid = _grid([-4.0, -1.0, 0.0, 1.0], [-4.0, 0.0])
     data = _bliss_plate(0.0, 1.0, 0.0, 1.0, grid)
     fit1, fit2 = _mono(0.0, 1.0), _mono(0.0, 1.0)
-    zf = zip_surface(fit1, fit2, data, grid)
-    assert zf.fell_back
-    np.testing.assert_array_equal(zf.surface.values,
-                                  bliss_surface(fit1, fit2, grid).values)
+    surface, fell_back = zip_surface(fit1, fit2, data, grid)
+    assert fell_back
+    np.testing.assert_array_equal(surface.values, bliss_surface(fit1, fit2, grid).values)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch layer
 
 
-def test_baseline_surface_dispatch_and_info():
+def test_baseline_delta_dispatch_and_info():
     data, _ = sample_plate(SimScenario(1, seed=3))
-    surface, info = baseline_surface(data, "hsa")
+    _, surface, info = baseline_delta(data, "hsa")
     assert info == {}
     ym = data.replicate_mean()
     np.testing.assert_array_equal(surface.values,
                                   np.maximum(ym[:, 0][:, None], ym[0, :][None, :]))
     for method in ("bliss", "loewe", "zip"):
-        surface, info = baseline_surface(data, method)
+        _, surface, info = baseline_delta(data, method)
         assert isinstance(info["fit1"], MonoFit)
         assert isinstance(info["fit2"], MonoFit)
         assert surface.values.shape == (11, 10)
-    _, info = baseline_surface(data, "loewe")
+    _, _, info = baseline_delta(data, "loewe")
     assert isinstance(info["flagged_cells"], int)
-    _, info = baseline_surface(data, "zip")
+    _, _, info = baseline_delta(data, "zip")
     assert info["fell_back"] in (False, True)
 
 
-def test_baseline_surface_rejects_unknown_method():
+def test_baseline_delta_rejects_unknown_method():
     data, _ = sample_plate(SimScenario(1, seed=3))
     with pytest.raises(ValidationError):
-        baseline_surface(data, "chou-talalay")
+        baseline_delta(data, "chou-talalay")
 
 
 def test_baseline_delta_identity():

@@ -14,7 +14,7 @@ from combofit import (AdaptiveState, ChainConfig, InitializationError,
 from combofit.mcmc import (_REBUILD_BLOCK, ADAPT_JITTER, BLOCK_NAMES,
                            DEFAULT_PROPOSAL_SCALES, REFRESH, _Sampler, draw_inverse_gamma)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
-                            SurfaceDesign, surfaces)
+                            SurfaceDesign, link_delta, surfaces)
 from combofit.splines import basis_matrix, penalty_precision
 
 TINY = ChainConfig(n_iter=100, burn_in=50, thin=5, seed=3)
@@ -274,6 +274,21 @@ def test_prior_only_chain_runs(small_plate):
     assert (chain.scalar_series("lambda1") > 0.0).all()
 
 
+def test_prior_only_chain_leaves_the_grid_alone(small_plate, small_spline):
+    # nothing on the grid enters a prior-only chain's acceptance ratios, so
+    # its sweeps never move the predictor B: without the design it draws the same
+    def run(design_kept):
+        sampler = _Sampler(small_plate, PriorSpec(), small_spline, TINY, "log10", None,
+                           True, None, 0)
+        if not design_kept:
+            sampler.design = None
+        return sampler.run()
+
+    untouched, without_design = run(True), run(False)
+    np.testing.assert_array_equal(without_design.draws, untouched.draws)
+    assert without_design.accept_rates == untouched.accept_rates
+
+
 def test_overflowing_proposals_are_rejected_not_fatal(small_plate, monkeypatch):
     # steps of sd 800 on the log scale routinely cross exp's overflow point;
     # they must come back as rejections, not OverflowError
@@ -376,8 +391,10 @@ def test_sampler_surfaces_match_the_kernel(small_plate, small_grid, small_spline
         design = SurfaceDesign.on_grid(small_grid, small_spline, linear_scale)
         p0, delta = surfaces(last, design)
         assert np.abs(delta).max() > 1e-3
-        np.testing.assert_allclose(sampler.p0_parts[0], p0[0], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(sampler.delta, delta[0], rtol=0.0, atol=1e-12)
+        _, _, sampler_p0, numerators, _, _, denominators = sampler.parts
+        np.testing.assert_allclose(sampler_p0, p0[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(link_delta(numerators, denominators), delta[0],
+                                   rtol=0.0, atol=1e-12)
 
 
 def _stored(chain, draws, index):

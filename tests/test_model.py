@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from combofit import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
-                      SimScenario, SplineSpec, ValidationError, initial_state,
-                      log_logistic_2ll, log_prior, reference_grid, sample_plate)
+                      SimScenario, SplineSpec, ValidationError, curve_values,
+                      initial_state, log_prior, reference_grid, sample_plate)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, VARIANCES,
-                            SurfaceDesign, linear_axes, link_values,
+                            SurfaceDesign, link_delta, link_denominators, link_numerators,
                             matrix_normal_log_density, normal_log_density,
                             observation_log_densities, summed_mean_surface, surfaces)
 from combofit.splines import penalty_precision
@@ -29,6 +29,14 @@ def _row(grid, spline, C=None, **scalars):
     return row
 
 
+def _link(b_pred, p0, b1, b2):
+    """Unmasked Delta of the link kernel at B = b_pred, both broadcast to a
+    (1, n) state."""
+    slopes = np.array((b1, -b2)).reshape(2, 1, 1)
+    return link_delta(link_numerators(np.atleast_2d(p0)),
+                      link_denominators(np.atleast_2d(b_pred), slopes))[0]
+
+
 def _mean(grid, spline, row):
     """Mean surface p0 + Delta of one parameter row on the grid."""
     p0, delta = surfaces(row[None], SurfaceDesign.on_grid(grid, spline))
@@ -40,31 +48,24 @@ def _mean(grid, spline, row):
 
 
 def test_curve_half_effect_at_m():
-    assert log_logistic_2ll(2.5, 2.5, 0.7) == pytest.approx(0.5, abs=1e-15)
+    assert curve_values(2.5, 2.5, 0.7) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_curve_one_decade_above_ec50():
     # f(1 | m=0, lam=1) = 1 / (1 + 10) = 1/11
-    assert log_logistic_2ll(1.0, 0.0, 1.0) == pytest.approx(1.0 / 11.0, abs=1e-15)
+    assert curve_values(1.0, 0.0, 1.0) == pytest.approx(1.0 / 11.0, abs=1e-15)
 
 
 def test_curve_limits():
-    assert log_logistic_2ll(-40.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert log_logistic_2ll(40.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert curve_values(-40.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert curve_values(40.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_curve_is_decreasing():
     x = np.linspace(-8.0, 8.0, 200)
-    f = log_logistic_2ll(x, 0.3, 0.8)
+    f = curve_values(x, 0.3, 0.8)
     assert (np.diff(f) < 0.0).all()
     assert ((f > 0.0) & (f < 1.0)).all()
-
-
-def test_curve_rejects_bad_slope():
-    with pytest.raises(ValidationError):
-        log_logistic_2ll(0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        log_logistic_2ll(0.0, math.nan, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +74,12 @@ def test_curve_rejects_bad_slope():
 
 def test_link_hand_value():
     # g(0) = -p0/2 + (1 - p0)/2 = 0.5 - p0 = 0.2 at p0 = 0.3
-    assert link_values(0.0, 0.3, 1.0, 1.0) == pytest.approx(0.2, abs=1e-15)
+    assert _link(0.0, 0.3, 1.0, 1.0) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_link_limits():
-    assert link_values(60.0, 0.3, 1.0, 1.0) == pytest.approx(0.7, abs=1e-12)
-    assert link_values(-60.0, 0.3, 1.0, 1.0) == pytest.approx(-0.3, abs=1e-12)
+    assert _link(60.0, 0.3, 1.0, 1.0) == pytest.approx(0.7, abs=1e-12)
+    assert _link(-60.0, 0.3, 1.0, 1.0) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_link_range_is_open_interval():
@@ -86,7 +87,7 @@ def test_link_range_is_open_interval():
     b_pred = rng.uniform(-3.0, 3.0, 20000)
     p0 = rng.uniform(0.001, 0.999, 20000)
     for b1, b2 in ((0.5, 2.0), (1.0, 1.0), (4.0, 0.2)):
-        g = link_values(b_pred, p0, b1, b2)
+        g = _link(b_pred, p0, b1, b2)
         assert (g > -p0).all()
         assert (g < 1.0 - p0).all()
 
@@ -96,14 +97,14 @@ def test_link_collapses_to_logistic_when_slopes_match():
     b_pred = rng.uniform(-10.0, 10.0, 500)
     p0 = rng.uniform(0.01, 0.99, 500)
     for b in (0.3, 1.0, 2.7):
-        combined = p0 + link_values(b_pred, p0, b, b)
+        combined = p0 + _link(b_pred, p0, b, b)
         logistic = 1.0 / (1.0 + np.exp(-b * b_pred))
         np.testing.assert_allclose(combined, logistic, atol=1e-12)
 
 
 def test_link_monotone_in_predictor():
     b_pred = np.linspace(-8.0, 8.0, 400)
-    g = link_values(b_pred, 0.4, 0.7, 1.3)
+    g = _link(b_pred, 0.4, 0.7, 1.3)
     assert (np.diff(g) > 0.0).all()
 
 
@@ -114,8 +115,8 @@ def test_link_monotone_in_predictor():
 def test_zero_interaction_is_outer_product(small_grid, small_spline):
     row = initial_state(small_grid, small_spline)
     p0, _ = surfaces(row[None], SurfaceDesign.on_grid(small_grid, small_spline))
-    f1 = log_logistic_2ll(small_grid.logc1, row[COLUMN["m1"]], row[COLUMN["lambda1"]])
-    f2 = log_logistic_2ll(small_grid.logc2, row[COLUMN["m2"]], row[COLUMN["lambda2"]])
+    f1 = curve_values(small_grid.logc1, row[COLUMN["m1"]], row[COLUMN["lambda1"]])
+    f2 = curve_values(small_grid.logc2, row[COLUMN["m2"]], row[COLUMN["lambda2"]])
     np.testing.assert_array_equal(p0[0], np.outer(f1, f2))
 
 
@@ -143,14 +144,16 @@ def test_mean_surface_stays_in_unit_interval(small_grid, small_spline):
         assert (p < 1.0).all()
 
 
-def test_linear_axes_scales(small_grid):
-    u1, u2 = linear_axes(small_grid, "log10")
-    np.testing.assert_array_equal(u1, small_grid.logc1)
-    n1, n2 = linear_axes(small_grid, "natural")
-    np.testing.assert_allclose(n1, 10.0 ** small_grid.logc1)
-    np.testing.assert_allclose(n2, 10.0 ** small_grid.logc2)
+def test_linear_axes_scales(small_grid, small_spline):
+    # the last column of each lift is the axis of the predictor's linear term
+    design = SurfaceDesign.on_grid(small_grid, small_spline, "log10")
+    np.testing.assert_array_equal(design.lift1[:, -1], small_grid.logc1)
+    np.testing.assert_array_equal(design.lift2[:, -1], small_grid.logc2)
+    design = SurfaceDesign.on_grid(small_grid, small_spline, "natural")
+    np.testing.assert_allclose(design.lift1[:, -1], 10.0 ** small_grid.logc1)
+    np.testing.assert_allclose(design.lift2[:, -1], 10.0 ** small_grid.logc2)
     with pytest.raises(ValidationError):
-        linear_axes(small_grid, "sqrt")
+        SurfaceDesign.on_grid(small_grid, small_spline, "sqrt")
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,43 @@ def test_batched_surfaces_match_per_state_surfaces(posterior):
         draws[:, N_SCALARS:].reshape(-1, spline.k1, spline.k2))
     np.testing.assert_allclose(p0, want_p0, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(delta, want_delta, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.sampled_from((2, 3)), scale=st.sampled_from(LINEAR_SCALES),
+       curves=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(0.05, 8.0)),
+                       min_size=2, max_size=2),
+       sign=st.sampled_from((-1.0, 1.0)), b_pred=st.floats(700.0, 1000.0),
+       slopes=st.lists(st.floats(1.0, 10.0), min_size=2, max_size=2, unique=True))
+def test_link_in_the_clamp_region_matches_the_oracle_and_its_limits(degree, scale, curves,
+                                                                     sign, b_pred, slopes):
+    # B = gamma0 on every cell, so each |b B| lies in [700, 1e4], where exp
+    # overflows without the clamp
+    spline = SplineSpec.for_grid(GRID, degree=degree)
+    (m1, lam1), (m2, lam2) = curves
+    row = _row(GRID, spline, m1=m1, lambda1=lam1, m2=m2, lambda2=lam2, gamma0=sign * b_pred,
+               b1=slopes[0], b2=slopes[1])
+    with np.errstate(over="raise", invalid="raise"):
+        p0, delta = surfaces(row[None], SurfaceDesign.on_grid(GRID, spline, scale))
+    layout = reference.Layout(ORACLE_PLATE, spline.k1, spline.k2, degree, scale)
+    want_p0, want = layout.surfaces({name: row[None, COLUMN[name]] for name in DRAW_SCALARS},
+                                    row[None, N_SCALARS:].reshape(-1, spline.k1, spline.k2))
+
+    np.testing.assert_allclose(delta, want, rtol=0.0, atol=1e-15)
+    # each side's Delta is its exact limit, 1 - p0 or -p0: the vanishing
+    # quotient is at most 1 / (1 + e^700), below the last bit of every limit
+    # but one that is itself (nearly) zero
+    for got, p0_of in ((delta, p0), (want, want_p0)):
+        limit = (1.0 - p0_of if sign > 0.0 else -p0_of) * ORACLE_PLATE.mask
+        wide = np.abs(limit) > 1e-280
+        np.testing.assert_array_equal(got[wide], limit[wide])
+        np.testing.assert_allclose(got, limit, rtol=0.0, atol=1e-303)
+    # one state's Delta, as the sampler keeps it, has the same bits
+    with np.errstate(over="raise", invalid="raise"):
+        state = link_delta(link_numerators(p0[0], GRID.border_mask()),
+                           link_denominators(np.full(GRID.shape, sign * b_pred),
+                                             np.array((slopes[0], -slopes[1])).reshape(2, 1, 1)))
+    np.testing.assert_array_equal(state, delta[0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,16 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from combofit import (ChainConfig, SimScenario, SurfaceGrid, ValidationError, bi_ec50,
-                      combination_columns, dss, fine_mean_surface,
-                      log_logistic_2ll, lpml, mse_surface, reference_grid, run_chain,
-                      rvus, sample_plate, summarize_chains)
-from combofit.summaries import LpmlStream, dss_scores, mean_heights
+from combofit import (ChainConfig, LpmlStream, SimScenario, SurfaceGrid, ValidationError,
+                      bi_ec50, combination_columns, curve_values, dss_scores,
+                      fine_mean_surface, mean_heights, mse_surface, reference_grid,
+                      run_chain, sample_plate, summarize_chains)
 
 
 def _stacked_blocks(chain):
     """p0, Delta and observation log densities of every draw of chain."""
     return [np.concatenate(parts) for parts in list(zip(*chain.blocks()))[1:]]
+
+
+def _lpml(log_densities):
+    """The LPML of a (samples, observations) log-density matrix."""
+    stream = LpmlStream()
+    stream.add(log_densities)
+    return stream.value()
 
 
 def _surface(values, axis1=None, axis2=None):
@@ -37,17 +43,17 @@ def _surface(values, axis1=None, axis2=None):
 
 def test_dss_inactive_drug_scores_zero():
     # EC50 ten decades past the window: activity never crosses the threshold
-    assert dss(15.0, 1.0, (-4.0, 5.0)) == 0.0
+    assert dss_scores(15.0, 1.0, -4.0, 5.0, 0.1) == 0.0
 
 
 def test_dss_fully_active_drug_scores_near_100():
-    score = dss(-14.0, 1.0, (-4.0, 5.0))
+    score = dss_scores(-14.0, 1.0, -4.0, 5.0, 0.1)
     assert 99.99 < score <= 100.0
 
 
 def test_dss_ordering_of_reference_fits():
-    d1 = dss(0.0, 0.33, (-4.0, 5.0))
-    d2 = dss(4.96, 0.31, (-3.5, 5.5))
+    d1 = dss_scores(0.0, 0.33, -4.0, 5.0, 0.1)
+    d2 = dss_scores(4.96, 0.31, -3.5, 5.5, 0.1)
     assert d1 > d2
     assert d1 > 40.0
     assert d2 < 10.0
@@ -66,11 +72,11 @@ def test_dss_matches_closed_form_integral():
     auc = antideriv(hi) - antideriv(x_t)
     width = hi - lo
     expected = 100.0 * max(0.0, auc - t * width) / ((1.0 - t) * width)
-    assert dss(m, lam, (lo, hi), t) == pytest.approx(expected, abs=1e-12)
+    assert dss_scores(m, lam, lo, hi, t) == pytest.approx(expected, abs=1e-12)
     x = np.linspace(x_t, hi, 200_001)
-    trapezoid = float(np.trapezoid(1.0 - log_logistic_2ll(x, m, lam), x))
+    trapezoid = float(np.trapezoid(1.0 - curve_values(x, m, lam), x))
     quadrature = 100.0 * max(0.0, trapezoid - t * width) / ((1.0 - t) * width)
-    assert dss(m, lam, (lo, hi), t) == pytest.approx(quadrature, abs=1e-8)
+    assert dss_scores(m, lam, lo, hi, t) == pytest.approx(quadrature, abs=1e-8)
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,28 +86,19 @@ def test_dss_matches_closed_form_integral():
 def test_dss_scores_match_scalar_dss(curves, threshold):
     m, lam = np.array(curves).T
     scores = dss_scores(m, lam, -3.0, 4.0, threshold)
-    expected = [dss(mi, li, (-3.0, 4.0), threshold) for mi, li in curves]
+    expected = [dss_scores(mi, li, -3.0, 4.0, threshold) for mi, li in curves]
     np.testing.assert_allclose(scores, expected, rtol=1e-14, atol=1e-12)
 
 
 def test_dss_shift_invariance():
-    base = dss(0.4, 0.9, (-3.0, 4.0))
-    shifted = dss(0.4 + 2.5, 0.9, (-0.5, 6.5))
+    base = dss_scores(0.4, 0.9, -3.0, 4.0, 0.1)
+    shifted = dss_scores(0.4 + 2.5, 0.9, -0.5, 6.5, 0.1)
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
 def test_dss_monotone_in_potency():
-    scores = [dss(m, 1.0, (-4.0, 5.0)) for m in (-1.0, 0.0, 1.0, 2.0)]
+    scores = [float(dss_scores(m, 1.0, -4.0, 5.0, 0.1)) for m in (-1.0, 0.0, 1.0, 2.0)]
     assert scores == sorted(scores, reverse=True)
-
-
-def test_dss_validation():
-    with pytest.raises(ValidationError):
-        dss(0.0, 1.0, (2.0, 2.0))
-    with pytest.raises(ValidationError):
-        dss(0.0, 1.0, (-1.0, 1.0), threshold=0.0)
-    with pytest.raises(ValidationError):
-        dss(0.0, -1.0, (-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +106,18 @@ def test_dss_validation():
 
 
 def test_rvus_constant_surface():
-    surface = _surface(np.full((4, 5), 0.37))
-    assert rvus(surface, 0.0, 1.0) == pytest.approx(0.37, abs=1e-12)
-    assert rvus(surface, 0.2, 0.7) == pytest.approx(0.34, abs=1e-12)
+    assert mean_heights(np.full((4, 5), 0.37), np.arange(4.0), np.arange(5.0)) == pytest.approx(
+        0.37, abs=1e-12)
 
 
 def test_rvus_zero_surface():
-    assert rvus(_surface(np.zeros((3, 3))), 0.0, 1.0) == 0.0
+    assert mean_heights(np.zeros((3, 3)), np.arange(3.0), np.arange(3.0)) == 0.0
 
 
 def test_rvus_bilinear_hand_value():
-    surface = _surface([[0.0, 1.0], [1.0, 1.0]], [0.0, 1.0], [0.0, 1.0])
-    assert rvus(surface, 0.0, 1.0) == pytest.approx(0.75, abs=1e-15)
+    unit = np.array([0.0, 1.0])
+    assert mean_heights(np.array([[0.0, 1.0], [1.0, 1.0]]), unit, unit) == pytest.approx(
+        0.75, abs=1e-15)
 
 
 def test_rvus_uneven_axes_against_loop_oracle():
@@ -136,17 +133,15 @@ def test_rvus_uneven_axes_against_loop_oracle():
             volume += cell * (axis1[i + 1] - axis1[i]) * (axis2[j + 1] - axis2[j])
     area = (axis1[-1] - axis1[0]) * (axis2[-1] - axis2[0])
     expected = volume / area
-    assert rvus(_surface(values, axis1, axis2), 0.0, 1.0) == pytest.approx(
-        expected, abs=1e-12)
+    assert mean_heights(values, axis1, axis2) == pytest.approx(expected, abs=1e-12)
 
 
 def test_rvus_sign_decomposition():
     rng = np.random.default_rng(13)
     delta = rng.uniform(-0.4, 0.6, (7, 8))
-    bound = 0.8
-    total = rvus(_surface(np.abs(delta)), 0.0, bound)
-    plus = rvus(_surface(np.abs(np.minimum(delta, 0.0))), 0.0, bound)
-    minus = rvus(_surface(np.maximum(delta, 0.0)), 0.0, bound)
+    total, plus, minus = mean_heights(
+        np.stack((np.abs(delta), np.abs(np.minimum(delta, 0.0)), np.maximum(delta, 0.0))),
+        np.arange(7.0), np.arange(8.0)) / 0.8
     assert plus + minus == pytest.approx(total, abs=1e-12)
 
 
@@ -159,15 +154,8 @@ def test_batched_rvus_matches_scalar_rvus(n1, n2, n_surfaces, seed):
     values = rng.uniform(0.0, 1.0, (n_surfaces, n1, n2))
     batched = mean_heights(values, axis1, axis2)
     for k in range(n_surfaces):
-        assert batched[k] == pytest.approx(
-            rvus(_surface(values[k], axis1, axis2), 0.0, 1.0), rel=1e-14, abs=1e-15)
-
-
-def test_rvus_validation():
-    with pytest.raises(ValidationError):
-        rvus(_surface(np.full((3, 3), 1.5)), 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        rvus(_surface(np.zeros((3, 3))), 1.0, 1.0)
+        assert batched[k] == pytest.approx(mean_heights(values[k], axis1, axis2),
+                                           rel=1e-14, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +195,18 @@ def test_bi_ec50_rejects_negative_tolerance():
 
 def test_lpml_single_sample_is_total_log_likelihood():
     ld = np.array([[-1.2, -0.4, -2.2]])
-    assert lpml(ld) == pytest.approx(ld.sum(), abs=1e-12)
+    assert _lpml(ld) == pytest.approx(ld.sum(), abs=1e-12)
 
 
 def test_lpml_hand_value():
     ld = np.array([[-1.0, -0.5], [-2.0, -3.0]])
-    assert lpml(ld) == pytest.approx(-4.005857060690881, abs=1e-12)
+    assert _lpml(ld) == pytest.approx(-4.005857060690881, abs=1e-12)
 
 
 def test_lpml_sample_duplication_invariance():
     rng = np.random.default_rng(3)
     ld = rng.normal(-1.0, 0.5, (20, 15))
-    assert lpml(np.tile(ld, (3, 1))) == pytest.approx(lpml(ld), abs=1e-10)
+    assert _lpml(np.tile(ld, (3, 1))) == pytest.approx(_lpml(ld), abs=1e-10)
 
 
 def test_lpml_penalises_inflated_variance():
@@ -226,14 +214,12 @@ def test_lpml_penalises_inflated_variance():
     y = 0.6 + 0.05 * rng.standard_normal(50)
     good = stats.norm.logpdf(y, loc=0.6, scale=0.05)[None, :]
     bad = stats.norm.logpdf(y, loc=0.6, scale=0.5)[None, :]
-    assert lpml(good) > lpml(bad)
+    assert _lpml(good) > _lpml(bad)
 
 
 def test_lpml_validation():
     with pytest.raises(ValidationError):
-        lpml(np.array([-1.0, -2.0]))
-    with pytest.raises(ValidationError):
-        lpml(np.array([[-1.0, np.inf]]))
+        _lpml(np.array([[-1.0, np.inf]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,7 +237,7 @@ def test_streamed_lpml_matches_the_stacked_matrix(sizes, n_columns, at, drop, se
         stream.add(block)
     stacked = np.concatenate(blocks)
     assert stream.n_samples == stacked.shape[0]
-    assert stream.value() == pytest.approx(lpml(stacked), rel=1e-12)
+    assert stream.value() == pytest.approx(_lpml(stacked), rel=1e-12)
     oracle = np.sum(math.log(stacked.shape[0]) - special.logsumexp(-stacked, axis=0))
     assert stream.value() == pytest.approx(oracle, rel=1e-12)
 
@@ -327,7 +313,7 @@ def test_summarize_chains_report(small_chain):
 def test_summarize_chains_lpml_uses_combination_cells(small_chain):
     report = summarize_chains(small_chain, fine_points=25)
     _, _, ld = _stacked_blocks(small_chain)
-    expected = lpml(ld[:, combination_columns(small_chain.grid, ld.shape[1])])
+    expected = _lpml(ld[:, combination_columns(small_chain.grid, ld.shape[1])])
     assert report.lpml == pytest.approx(expected, abs=1e-12)
 
 
@@ -345,9 +331,9 @@ def test_summarize_chains_scores_match_per_draw_loop(small_chain):
                                    ("delta_plus", np.abs(np.minimum(delta, 0.0)), bound),
                                    ("delta_minus", np.maximum(delta, 0.0), bound),
                                    ("one_minus_p", 1.0 - (p0 + delta), 1.0)):
-            expected[key].append(rvus(_surface(values, *ax), 0.0, upper))
-        expected["drug1"].append(dss(m1, lam1, ranges["drug1"]))
-        expected["drug2"].append(dss(m2, lam2, ranges["drug2"]))
+            expected[key].append(mean_heights(values, *ax) / upper)
+        expected["drug1"].append(dss_scores(m1, lam1, *ranges["drug1"], 0.1))
+        expected["drug2"].append(dss_scores(m2, lam2, *ranges["drug2"], 0.1))
     report = summarize_chains(small_chain, fine_points=25)
     for key, values in expected.items():
         got = report.dss[key] if key.startswith("drug") else report.rvus[key]
