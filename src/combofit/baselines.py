@@ -33,6 +33,7 @@ class MonoFit:
     lambda_at_bound: bool
 
     def curve(self, logx):
+        """The fitted curve on a sorted axis logx (see curve_values)."""
         return curve_values(logx, self.m, self.lam)
 
 
@@ -72,6 +73,8 @@ def fit_2ll(logx, y, max_sweeps: int = 100) -> MonoFit:
         raise ValidationError("logx and y must have the same length")
     if not (np.all(np.isfinite(logx)) and np.all(np.isfinite(y))):
         raise ValidationError("fit points must be finite")
+    order = np.argsort(logx, kind="stable")  # curve_values needs a sorted axis
+    logx, y = logx[order], y[order]
     distinct = np.unique(logx)
     if distinct.size < 3:
         raise ValidationError("need at least 3 distinct concentrations")

@@ -216,12 +216,13 @@ def write_samples_csv(path, posterior):
     sample column counts from 0 within each chain."""
     chain = posterior.chain
     sample = np.arange(len(chain)) - np.searchsorted(chain, chain)
+    header = samples_header(posterior.spline.k1, posterior.spline.k2)
+    # csv.writer's bytes, since names, ints and float reprs never need quoting;
+    # a row at a time: the whole posterior as Python floats would be ~4x its array
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(samples_header(posterior.spline.k1, posterior.spline.k2))
-        # a row at a time: the whole posterior as Python floats would be ~4x its array
-        writer.writerows([index, idx, *map(repr, row.tolist())] for index, idx, row in
-                         zip(chain.tolist(), sample.tolist(), posterior.draws))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{index},{idx},{','.join(map(repr, row.tolist()))}\r\n" for index, idx, row
+                      in zip(chain.tolist(), sample.tolist(), posterior.draws))
 
 
 def read_samples_csv(path) -> Samples:

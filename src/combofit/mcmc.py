@@ -6,25 +6,26 @@ with a Gaussian random walk on a transformed scale (log for positive
 parameters, identity otherwise), through four kinds of update: a
 monotherapy curve (m1, m2, lambda1, lambda2), the link slopes b, a linear
 predictor term (gamma0, gamma1, gamma2) or the coefficients C, and a
-variance (the five sigma2_phi and sigma2_eps). Every random-walk proposal
-ends in the same Metropolis step. After an initial adapt_start iterations
-every block's proposal covariance tracks the running sample covariance of
-its own history, scaled by a factor tuned toward a target acceptance rate
-with Robbins-Monro steps on the log scale; the coefficient block refactors
-its covariance once every REFRESH iterations and moves B and prices its prior
-through Kronecker products of the per-axis matrices. Under an Inverse-Gamma
-variance prior the variance blocks switch to exact conjugate draws.
+variance (the five sigma2_phi and sigma2_eps). The sweep is built once per
+run, as one update per active block that holds that block's constants, and
+every random-walk proposal ends in the same Metropolis step. After an
+initial adapt_start iterations every block's proposal covariance tracks the
+running sample covariance of its own history, scaled by a factor tuned
+toward a target acceptance rate with Robbins-Monro steps on the log scale;
+the coefficient block refactors its covariance once every REFRESH iterations
+and moves B and prices its prior through Kronecker products of the per-axis
+matrices. Under an Inverse-Gamma variance prior the variance blocks switch
+to exact conjugate draws.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .data import LogConcGrid, PlateDataset
 from .errors import InitializationError, ValidationError
-from .model import (COLUMN, EXP_CLAMP, N_SCALARS, HalfCauchyPrior, InverseGammaPrior,
+from .model import (COLUMN, EXP_CLAMP, N_SCALARS, VARIANCES, HalfCauchyPrior, InverseGammaPrior,
                     PriorSpec, SurfaceDesign, check_row, curve_values, initial_state,
                     link_delta, link_denominators, link_numerators, log_prior,
                     observation_log_densities, surfaces)
@@ -371,7 +372,6 @@ class _Sampler:
                 dim=dim, initial_scale=DEFAULT_PROPOSAL_SCALES[name], target=target,
                 adapt_start=config.adapt_start)
         self.accepted = {name: 0 for name in self.adapters}
-        self.proposed = {name: 0 for name in self.adapters}
 
     # -- numerics ----------------------------------------------------------
 
@@ -380,31 +380,13 @@ class _Sampler:
     # update changes either p0 (m, lambda) or the denominators (b, gamma, C),
     # so a proposal recomputes only that side of the link. Without a
     # likelihood nothing on the grid enters an acceptance ratio: parts is
-    # None, _propose touches no grid, B included, and ss is 0.0, the exact
+    # None, no update touches the grid, B included, and ss is 0.0, the exact
     # value the full computation gives when there is no data.
 
-    def _propose(self, name, value):
-        """The residual sum of squares and the parts after block name moves:
-        value is (m, lam) of the drug for m1, m2, lambda1 and lambda2, (b1, b2)
-        for b, and the step for a gamma or C."""
-        if not self.likelihood:
-            return 0.0, None
-        f1, f2, p0, numerators, bpred, slopes, denominators = self.parts
-        if name[0] in "ml":
-            if name[-1] == "1":
-                f1 = curve_values(self.grid.logc1, *value)
-            else:
-                f2 = curve_values(self.grid.logc2, *value)
-            p0 = f1[:, None] * f2
-            numerators = link_numerators(p0, self.mask)
-        else:
-            if name == "b":
-                slopes = np.array((value[0], -value[1])).reshape(2, 1, 1)
-            elif name == "C":
-                bpred = bpred + (self.design @ value).reshape(bpred.shape)
-            else:
-                bpred = bpred + value * self.shift[name]
-            denominators = link_denominators(bpred, slopes)
+    def _link_moved(self, bpred, slopes):
+        """The residual sum of squares and the parts once B and the slopes move."""
+        f1, f2, p0, numerators = self.parts[:4]
+        denominators = link_denominators(bpred, slopes)
         return (self._fit(p0, numerators, denominators),
                 (f1, f2, p0, numerators, bpred, slopes, denominators))
 
@@ -418,14 +400,6 @@ class _Sampler:
             return 0.0
         return -0.5 * self.n_obs * math.log(2.0 * math.pi * s2eps) - ss / (2.0 * s2eps)
 
-    def _lik_ratio(self, ssc):
-        """Log-likelihood ratio of a proposal with residual sum of squares ssc."""
-        return -(ssc - self.ss) / (2.0 * self.theta[COLUMN["sigma2_eps"]])
-
-    def _normal_cost(self, name, cur, cand):
-        """Minus the log ratio of the N(0, sigma2_name) prior at cand and cur."""
-        return (cand * cand - cur * cur) / (2.0 * self.theta[COLUMN["sigma2_" + name]])
-
     def _step(self, name, log_a, t, tc, iteration):
         """Metropolis decision on log_a for block name, counted, with the block's
         adaptation fed the transformed value it keeps: tc on acceptance, t
@@ -437,127 +411,175 @@ class _Sampler:
         else:
             a = math.exp(log_a)
             ok = self.rng.random() < a
-        self.proposed[name] += 1
         if ok:
             self.accepted[name] += 1
         self.adapters[name].observe(tc if ok else t, a, iteration)
         return ok
 
     # -- block updates -----------------------------------------------------
-    # Each log ratio is summed left to right in a fixed order; the bits of the
-    # stream depend on it.
+    # Each factory binds one block's constants (draws columns, adapter, prior
+    # constants, grid axis or predictor move) into the update that run calls
+    # on every sweep. A log ratio starts with the log-likelihood ratio
+    # -(ssc - ss) / (2 sigma2_eps) and adds the prior and Jacobian terms left
+    # to right in a fixed order; the bits of the stream depend on it.
 
-    def _update_curve(self, name, iteration):
+    def _curve_update(self, name):
         """m1, m2, lambda1 or lambda2: one drug's monotherapy curve, so p0 moves
         and the link's denominators stay. m walks on its own scale under its
         N(0, sigma2_m) prior; lambda walks on the log scale, where its Gamma
         prior and the Jacobian give (cand/cur)^shape * exp(-rate * (cand - cur))."""
-        th, drug = self.theta, name[-1]
-        cur = th[COLUMN[name]]
-        if name.startswith("lambda"):
-            t = math.log(cur)
-            tc = t + self.adapters[name].propose_step(self.rng)
-            cand = _safe_exp(tc)
-            if not (math.isfinite(cand) and cand > 0.0):
-                self._step(name, -math.inf, t, tc, iteration)
+        th, rng, step, fit, likelihood = (self.theta, self.rng, self._step, self._fit,
+                                          self.likelihood)
+        propose, drug, mask = self.adapters[name].propose_step, name[-1], self.mask
+        k, km, klam, eps = (COLUMN[name], COLUMN["m" + drug], COLUMN["lambda" + drug],
+                            COLUMN["sigma2_eps"])
+        first, axis = drug == "1", self.grid.logc1 if drug == "1" else self.grid.logc2
+        log_scale = name.startswith("lambda")
+        prior = getattr(self.priors, name) if log_scale else None
+        var = None if log_scale else COLUMN["sigma2_" + name]
+
+        def update(iteration):
+            cur = th[k]
+            if log_scale:
+                t = math.log(cur)
+                tc = t + propose(rng)
+                cand = _safe_exp(tc)
+                if not (math.isfinite(cand) and cand > 0.0):
+                    step(name, -math.inf, t, tc, iteration)
+                    return
+                gain, cost = prior.shape * (tc - t), prior.rate * (cand - cur)
+                m, lam, kept = th[km], cand, math.log(cand)
+            else:
+                t = cur
+                cand = cur + propose(rng)
+                gain, cost = 0.0, (cand * cand - cur * cur) / (2.0 * th[var])
+                m, lam, kept = cand, th[klam], cand
+            ssc, parts = 0.0, None
+            if likelihood:
+                f1, f2, _, _, bpred, slopes, denominators = self.parts
+                f = curve_values(axis, m, lam)
+                f1, f2 = (f, f2) if first else (f1, f)
+                p0 = f1[:, None] * f2
+                numerators = link_numerators(p0, mask)
+                ssc = fit(p0, numerators, denominators)
+                parts = (f1, f2, p0, numerators, bpred, slopes, denominators)
+            if step(name, -(ssc - self.ss) / (2.0 * th[eps]) + gain - cost, t, kept, iteration):
+                th[k] = cand
+                self.ss, self.parts = ssc, parts
+        return update
+
+    def _b_update(self, name):
+        th, rng, step, moved, likelihood = (self.theta, self.rng, self._step, self._link_moved,
+                                            self.likelihood)
+        propose, prior1, prior2 = self.adapters[name].propose_step, self.priors.b1, self.priors.b2
+        k1, k2, eps = COLUMN["b1"], COLUMN["b2"], COLUMN["sigma2_eps"]
+
+        def update(iteration):
+            b1, b2 = th[k1], th[k2]
+            t = (math.log(b1), math.log(b2))
+            d = propose(rng).tolist()
+            tc = (t[0] + d[0], t[1] + d[1])
+            b1c, b2c = _safe_exp(tc[0]), _safe_exp(tc[1])
+            if not (b1c > 0.0 and b2c > 0.0 and math.isfinite(b1c) and math.isfinite(b2c)):
+                step(name, -math.inf, t, tc, iteration)
                 return
-            prior = self.priors.lambda1 if drug == "1" else self.priors.lambda2
-            gain, cost = prior.shape * (tc - t), prior.rate * (cand - cur)
-            m, lam, kept = th[COLUMN["m" + drug]], cand, math.log(cand)
-        else:
-            t = cur
-            cand = cur + self.adapters[name].propose_step(self.rng)
-            gain, cost = 0.0, self._normal_cost(name, cur, cand)
-            m, lam, kept = cand, th[COLUMN["lambda" + drug]], cand
-        ssc, parts = self._propose(name, (m, lam))
-        if self._step(name, self._lik_ratio(ssc) + gain - cost, t, kept, iteration):
-            th[COLUMN[name]] = cand
-            self.ss, self.parts = ssc, parts
+            ssc, parts = 0.0, None
+            if likelihood:
+                ssc, parts = moved(self.parts[4], np.array((b1c, -b2c)).reshape(2, 1, 1))
+            log_a = (-(ssc - self.ss) / (2.0 * th[eps])
+                     + prior1.shape * (tc[0] - t[0]) - prior1.rate * (b1c - b1)
+                     + prior2.shape * (tc[1] - t[1]) - prior2.rate * (b2c - b2))
+            if step(name, log_a, t, tc, iteration):
+                th[k1], th[k2] = b1c, b2c
+                self.ss, self.parts = ssc, parts
+        return update
 
-    def _update_b(self, iteration):
-        th = self.theta
-        b1, b2 = th[COLUMN["b1"]], th[COLUMN["b2"]]
-        t = (math.log(b1), math.log(b2))
-        step = self.adapters["b"].propose_step(self.rng).tolist()
-        tc = (t[0] + step[0], t[1] + step[1])
-        b1c, b2c = _safe_exp(tc[0]), _safe_exp(tc[1])
-        if not (b1c > 0.0 and b2c > 0.0 and math.isfinite(b1c) and math.isfinite(b2c)):
-            self._step("b", -math.inf, t, tc, iteration)
-            return
-        ssc, parts = self._propose("b", (b1c, b2c))
-        log_a = (self._lik_ratio(ssc)
-                 + self.priors.b1.shape * (tc[0] - t[0])
-                 - self.priors.b1.rate * (b1c - b1)
-                 + self.priors.b2.shape * (tc[1] - t[1])
-                 - self.priors.b2.rate * (b2c - b2))
-        if self._step("b", log_a, t, tc, iteration):
-            th[COLUMN["b1"]], th[COLUMN["b2"]] = b1c, b2c
-            self.ss, self.parts = ssc, parts
+    def _gamma_update(self, name):
+        th, rng, step, moved, likelihood = (self.theta, self.rng, self._step, self._link_moved,
+                                            self.likelihood)
+        propose, shift = self.adapters[name].propose_step, self.shift[name]
+        k, var, eps = COLUMN[name], COLUMN["sigma2_" + name], COLUMN["sigma2_eps"]
 
-    def _update_gamma(self, name, iteration):
-        th = self.theta
-        cur = th[COLUMN[name]]
-        step = self.adapters[name].propose_step(self.rng)
-        cand = cur + step
-        ssc, parts = self._propose(name, step)
-        log_a = self._lik_ratio(ssc) - self._normal_cost(name, cur, cand)
-        if self._step(name, log_a, cur, cand, iteration):
-            th[COLUMN[name]] = cand
-            self.ss, self.parts = ssc, parts
+        def update(iteration):
+            cur = th[k]
+            d = propose(rng)
+            cand = cur + d
+            ssc, parts = 0.0, None
+            if likelihood:
+                ssc, parts = moved(self.parts[4] + d * shift, self.parts[5])
+            log_a = (-(ssc - self.ss) / (2.0 * th[eps])
+                     - (cand * cand - cur * cur) / (2.0 * th[var]))
+            if step(name, log_a, cur, cand, iteration):
+                th[k] = cand
+                self.ss, self.parts = ssc, parts
+        return update
 
-    def _update_C(self, iteration):
-        step = self.adapters["C"].propose_step(self.rng)
-        cc = self.c + step
-        ssc, parts = self._propose("C", step)
-        quadc = float(cc @ (self.precision @ cc))
-        log_a = self._lik_ratio(ssc) - 0.5 * (quadc - self.quad)
-        if self._step("C", log_a, self.c, cc, iteration):
-            self.c = cc
-            self.quad = quadc
-            self.ss, self.parts = ssc, parts
+    def _C_update(self, name):
+        th, rng, step, moved, likelihood = (self.theta, self.rng, self._step, self._link_moved,
+                                            self.likelihood)
+        propose, eps = self.adapters[name].propose_step, COLUMN["sigma2_eps"]
+        design, precision, shape = self.design, self.precision, self.grid.shape
 
-    def _update_variance(self, name, iteration):
+        def update(iteration):
+            d = propose(rng)
+            cc = self.c + d
+            ssc, parts = 0.0, None
+            if likelihood:
+                ssc, parts = moved(self.parts[4] + (design @ d).reshape(shape), self.parts[5])
+            quadc = float(cc @ (precision @ cc))
+            log_a = -(ssc - self.ss) / (2.0 * th[eps]) - 0.5 * (quadc - self.quad)
+            if step(name, log_a, self.c, cc, iteration):
+                self.c, self.quad = cc, quadc
+                self.ss, self.parts = ssc, parts
+        return update
+
+    def _variance_update(self, name):
         """sigma2_eps or one sigma2_phi as the variance of n_terms Gaussian
         terms with sum of squares sum_sq: an exact draw under the Inverse-Gamma
         prior, a random walk on log sigma under the half-Cauchy prior."""
-        th, k = self.theta, COLUMN[name]
-        if name == "sigma2_eps":
-            sum_sq, n_terms = self.ss, float(self.n_obs)
-        else:
-            phi = th[COLUMN[name.removeprefix("sigma2_")]]
-            sum_sq, n_terms = phi * phi, 1.0
+        th, rng, k = self.theta, self.rng, COLUMN[name]
+        eps = name == "sigma2_eps"
+        phi = None if eps else COLUMN[name.removeprefix("sigma2_")]
+        n_terms = float(self.n_obs) if eps else 1.0
         if self.ig is not None:
-            shape, rate = variance_posterior_params(self.ig, sum_sq, n_terms)
-            th[k] = draw_inverse_gamma(self.rng, shape, rate)
-            return
-        s2 = th[k]
-        t = 0.5 * math.log(s2)
-        tc = t + self.adapters[name].propose_step(self.rng)
-        s2c = _safe_exp(2.0 * tc)
-        if not (math.isfinite(s2c) and s2c > 0.0):
-            self._step(name, -math.inf, t, tc, iteration)
-            return
-        h2 = self.hc.scale * self.hc.scale
-        log_a = ((1.0 - n_terms) * (tc - t)
-                 - 0.5 * sum_sq * (1.0 / s2c - 1.0 / s2)
-                 + math.log(s2 + h2) - math.log(s2c + h2))
-        if self._step(name, log_a, t, tc, iteration):
-            th[k] = s2c
+            # the shape is fixed; each draw adds the data's 0.5 * sum_sq to the rate
+            shape, rate = variance_posterior_params(self.ig, 0.0, n_terms)
+
+            def draw(iteration):
+                sum_sq = self.ss if eps else th[phi] * th[phi]
+                th[k] = draw_inverse_gamma(rng, shape, rate + 0.5 * sum_sq)
+            return draw
+        step, propose = self._step, self.adapters[name].propose_step
+        h2, jacobian = self.hc.scale * self.hc.scale, 1.0 - n_terms
+
+        def update(iteration):
+            sum_sq = self.ss if eps else th[phi] * th[phi]
+            s2 = th[k]
+            t = 0.5 * math.log(s2)
+            tc = t + propose(rng)
+            s2c = _safe_exp(2.0 * tc)
+            if not (math.isfinite(s2c) and s2c > 0.0):
+                step(name, -math.inf, t, tc, iteration)
+                return
+            log_a = (jacobian * (tc - t)
+                     - 0.5 * sum_sq * (1.0 / s2c - 1.0 / s2)
+                     + math.log(s2 + h2) - math.log(s2c + h2))
+            if step(name, log_a, t, tc, iteration):
+                th[k] = s2c
+        return update
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> Posterior:
         cfg = self.config
         draws = np.empty((cfg.n_retained, N_SCALARS + self.c.size))
-        updates = {
-            "b": self._update_b, "C": self._update_C,
-            **{name: partial(self._update_curve, name)
-               for name in ("m1", "m2", "lambda1", "lambda2")},
-            **{name: partial(self._update_gamma, name) for name in ("gamma0", "gamma1", "gamma2")},
-            **{name: partial(self._update_variance, name)
-               for name in BLOCK_NAMES if name.startswith("sigma2_")},
+        factories = {
+            **dict.fromkeys(("m1", "m2", "lambda1", "lambda2"), self._curve_update),
+            "b": self._b_update, "C": self._C_update,
+            **dict.fromkeys(("gamma0", "gamma1", "gamma2"), self._gamma_update),
+            **dict.fromkeys(VARIANCES, self._variance_update),
         }
-        sweep = [updates[name] for name in BLOCK_NAMES if name in self.active]
+        sweep = [factories[name](name) for name in BLOCK_NAMES if name in self.active]
         for g in range(1, cfg.burn_in + 1):
             for update in sweep:
                 update(g)
@@ -580,8 +602,10 @@ class _Sampler:
             accept_rates_after_burn_in={self.chain_index: _rates(after)})
 
     def _counts(self):
-        """(accepted, proposed) of every adapted block so far."""
-        return {name: (self.accepted[name], self.proposed[name]) for name in self.adapters}
+        """(accepted, proposed) of every adapted block so far; its adapter
+        observes every proposal once."""
+        return {name: (self.accepted[name], adapter.count)
+                for name, adapter in self.adapters.items()}
 
 
 def _rates(counts):

@@ -142,8 +142,17 @@ def curve_values(logx, m, lam):
 
     f(logx) = 1 / (1 + 10^(lam * (logx - m))); m is the log10 EC50 and lam
     the (positive) slope, so f decreases from 1 toward 0 as logx grows.
+
+    The exponent t = lam * (logx - m) is clamped to +-POW10_CLAMP. Float m and
+    lam with a 1-D logx skip the clamp when both ends of t lie inside the bound,
+    so such a logx must be sorted: t is then monotone and the clamp would
+    return it unchanged.
     """
-    t = _clamped(lam * (logx - m), POW10_CLAMP)
+    t = lam * (logx - m)
+    if not (isinstance(m, float) and isinstance(lam, float) and isinstance(t, np.ndarray)
+            and t.ndim == 1 and t.size
+            and abs(t[0]) <= POW10_CLAMP and abs(t[-1]) <= POW10_CLAMP):
+        t = _clamped(t, POW10_CLAMP)
     return 1.0 / (1.0 + np.exp(LN10 * t))
 
 

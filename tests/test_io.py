@@ -1,4 +1,6 @@
+import csv
 from dataclasses import replace
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -167,6 +169,22 @@ def test_samples_round_trip_is_bit_exact(tmp_path, small_chain):
     np.testing.assert_array_equal(back.chain, np.zeros(len(small_chain)))
     np.testing.assert_array_equal(back.draws, small_chain.draws)
 
+
+
+def test_samples_bytes_are_csv_writers(tmp_path, small_chain):
+    # rows are joined by hand; they must be csv.writer's bytes for signed
+    # zeros, subnormals, extremes and chain indices of two digits
+    draws = np.resize([-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1],
+                      (12, small_chain.draws.shape[1]))
+    index, sample = np.repeat([3, 10, 11], 4), [0, 1, 2, 3] * 3
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, replace(small_chain, draws=draws, chain=index))
+    want = StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(samples_header(6, 6))
+    writer.writerows([k, i, *map(repr, row)] for k, i, row in
+                     zip(index.tolist(), sample, draws.tolist()))
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

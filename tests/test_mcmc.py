@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from combofit import (AdaptiveState, ChainConfig, InitializationError,
+from combofit import (AdaptiveState, ChainConfig, HalfCauchyPrior, InitializationError,
                       InverseGammaPrior, Posterior, PriorSpec, SplineSpec,
                       ValidationError, initial_state, run_chain, run_chains,
                       variance_posterior_params)
 from combofit.mcmc import (_REBUILD_BLOCK, ADAPT_JITTER, BLOCK_NAMES,
                            DEFAULT_PROPOSAL_SCALES, REFRESH, _Sampler, draw_inverse_gamma)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
-                            SurfaceDesign, link_delta, surfaces)
+                            SurfaceDesign, link_delta, log_prior, surfaces)
 from combofit.splines import basis_matrix, penalty_precision
+
+import reference  # perfbench's oracle, which imports no combofit
 
 TINY = ChainConfig(n_iter=100, burn_in=50, thin=5, seed=3)
 
@@ -348,6 +351,72 @@ def test_explicit_default_start_keeps_the_stream(small_plate, small_grid, small_
                          initial=initial_state(small_grid, small_spline))
     np.testing.assert_array_equal(explicit.draws, default.draws)
     assert explicit.accept_rates == default.accept_rates
+
+
+def _walked(name, row, x):
+    """row with block name at x on the scale its random walk moves, and the
+    log Jacobian of that walk at x: m, gamma and C walk on their own values,
+    lambda and b on log values, a half-Cauchy variance on log sigma."""
+    row = row.copy()
+    if name == "C":
+        row[N_SCALARS:] = x
+        return row, 0.0
+    x = np.atleast_1d(x)
+    columns = [COLUMN["b1"], COLUMN["b2"]] if name == "b" else [COLUMN[name]]
+    if name[0] in "mg":
+        row[columns] = x
+        return row, 0.0
+    row[columns] = np.exp(2.0 * x) if name.startswith("sigma2_") else np.exp(x)
+    return row, float(x.sum())
+
+
+@pytest.mark.parametrize("variance_prior", [HalfCauchyPrior(1.0), InverseGammaPrior(3.0, 2.0)],
+                         ids=("half_cauchy", "inverse_gamma"))
+def test_log_acceptance_ratio_is_the_log_posterior_difference(small_plate, small_grid,
+                                                              small_spline, variance_prior,
+                                                              monkeypatch):
+    # every Metropolis decision's log_a is the log posterior at the candidate
+    # minus that at the current row, plus the difference of the walk's log
+    # Jacobian; the log posterior is the oracle's surfaces' summed observation
+    # log densities plus model.log_prior, whose half-Cauchy is a density on sigma
+    records, step = [], _Sampler._step
+
+    def recorded(self, name, log_a, t, tc, iteration):
+        records.append((name, log_a, t, tc, np.concatenate((self.theta, self.c))))
+        return step(self, name, log_a, t, tc, iteration)
+
+    monkeypatch.setattr(_Sampler, "_step", recorded)
+    priors = PriorSpec(variance_prior=variance_prior)
+    config = ChainConfig(n_iter=200, burn_in=100, thin=10, adapt_start=50, seed=4)
+    run_chain(small_plate, priors=priors, spline=small_spline, config=config)
+    records = [record for record in records if math.isfinite(record[1])]
+    walked = [(_walked(name, row, t), _walked(name, row, tc), row)
+              for name, _, t, tc, row in records]
+    current = np.array([row for (row, _), _, _ in walked])
+    candidate = np.array([row for _, (row, _), _ in walked])
+    np.testing.assert_allclose(current, [row for _, _, row in walked], rtol=1e-15, atol=0.0)
+
+    oracle_plate = SimpleNamespace(logc1=small_grid.logc1, logc2=small_grid.logc2,
+                                   mask=small_grid.border_mask())
+    layout = reference.Layout(oracle_plate, small_spline.k1, small_spline.k2,
+                              small_spline.degree)
+
+    def log_posterior(rows):
+        p0, delta = layout.surfaces({name: rows[:, COLUMN[name]] for name in DRAW_SCALARS},
+                                    rows[:, N_SCALARS:].reshape(-1, small_spline.k1,
+                                                                small_spline.k2))
+        s2 = rows[:, COLUMN["sigma2_eps"], None, None, None]
+        resid = small_plate.viability - (p0 + delta)[..., None]
+        densities = -0.5 * np.log(2.0 * math.pi * s2) - resid * resid / (2.0 * s2)
+        return (densities.sum(axis=(1, 2, 3))
+                + [log_prior(row, priors, small_spline) for row in rows])
+
+    jacobian = np.array([cand_j - cur_j for (_, cur_j), (_, cand_j), _ in walked])
+    want = log_posterior(candidate) - log_posterior(current) + jacobian
+    np.testing.assert_allclose([record[1] for record in records], want, rtol=1e-9, atol=1e-8)
+    # under the Inverse-Gamma prior the variances are exact draws, not walks
+    walks = BLOCK_NAMES if isinstance(variance_prior, HalfCauchyPrior) else BLOCK_NAMES[:9]
+    assert {record[0] for record in records} == set(walks)
 
 
 # ---------------------------------------------------------------------------

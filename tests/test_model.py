@@ -10,6 +10,7 @@ from scipy import stats
 from combofit import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
                       SimScenario, SplineSpec, ValidationError, curve_values,
                       initial_state, log_prior, reference_grid, sample_plate)
+from combofit import model
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, VARIANCES,
                             SurfaceDesign, link_delta, link_denominators, link_numerators,
                             matrix_normal_log_density, normal_log_density,
@@ -66,6 +67,29 @@ def test_curve_is_decreasing():
     f = curve_values(x, 0.3, 0.8)
     assert (np.diff(f) < 0.0).all()
     assert ((f > 0.0) & (f < 1.0)).all()
+
+
+@pytest.mark.parametrize("m, lam, skipped", [
+    (0.3, 1.7, True),        # both ends of the exponent inside the bound
+    (0.0, 150.0, True),      # both ends exactly at +-300
+    (-1.0, 120.0, False),    # the upper end beyond +300
+    (1.0, 120.0, False),     # the lower end beyond -300
+    (0.3, -2.5, True),       # a negative slope
+    (-0.5, -200.0, False),   # a negative slope, the lower end beyond -300
+])
+def test_curve_float_path_equals_array_path(m, lam, skipped, monkeypatch):
+    # float m and lam on a sorted axis skip the clamp when both ends of the
+    # exponent lie inside it; the values keep the array path's bits
+    axis = np.linspace(-2.0, 2.0, 11)
+    want = curve_values(axis, np.full((1, 1), m), np.full((1, 1), lam))[0]
+    clamped, clamp = [], model._clamped
+    monkeypatch.setattr(model, "_clamped", lambda t, bound: clamped.append(t) or clamp(t, bound))
+    assert curve_values(axis, m, lam).tobytes() == want.tobytes()
+    assert len(clamped) == (0 if skipped else 1)
+    # a scalar or a 2-D logx takes the array path
+    for logx in (2.5, axis[:10].reshape(2, 5)):
+        want = curve_values(np.reshape(logx, (1, -1)), np.full((1, 1), m), np.full((1, 1), lam))
+        assert curve_values(logx, m, lam).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
