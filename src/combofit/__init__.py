@@ -12,10 +12,9 @@ from .baselines import (BASELINE_METHODS, MonoFit, baseline_delta, bliss_surface
 from .data import LogConcGrid, PlateDataset, SurfaceGrid
 from .errors import (CombofitError, FitConvergenceError, InitializationError,
                      NumericError, ValidationError)
-from .mcmc import (BLOCK_NAMES, AdaptiveState, ChainConfig, Posterior, run_chain,
-                   run_chains, variance_posterior_params)
-from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
-                    curve_values, initial_state, log_prior)
+from .mcmc import BLOCK_NAMES, AdaptiveState, ChainConfig, Posterior, run_chain, run_chains
+from .model import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec, curve_values,
+                    initial_state)
 from .simulate import (SimScenario, interaction_field, normal_cdf,
                        reference_grid, sample_plate, truth_delta, truth_p0)
 from .splines import SplineSpec, basis_matrix, penalty_precision
@@ -33,8 +32,7 @@ __all__ = [
     "SurfaceGrid", "ValidationError", "baseline_delta", "basis_matrix", "bi_ec50",
     "bliss_surface", "combination_columns", "curve_values", "dss_scores",
     "fine_mean_surface", "fit_2ll", "fit_monotherapies", "hsa_surface", "initial_state",
-    "interaction_field", "loewe_surface", "log_prior", "mean_heights", "mse_surface",
+    "interaction_field", "loewe_surface", "mean_heights", "mse_surface",
     "normal_cdf", "penalty_precision", "reference_grid", "run_chain", "run_chains",
-    "sample_plate", "summarize_chains", "truth_delta", "truth_p0",
-    "variance_posterior_params", "zip_surface",
+    "sample_plate", "summarize_chains", "truth_delta", "truth_p0", "zip_surface",
 ]

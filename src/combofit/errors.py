@@ -14,7 +14,7 @@ class NumericError(CombofitError):
 
 
 class InitializationError(NumericError):
-    """Sampler could not start from the default state."""
+    """Sampler could not start from its starting row."""
 
 
 class FitConvergenceError(NumericError):

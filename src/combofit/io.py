@@ -132,23 +132,6 @@ def write_surface_csv(path, surface: SurfaceGrid):
             writer.writerow([_fmt(a1)] + [_fmt(v) for v in surface.values[i]])
 
 
-def read_surface_csv(path, label: str = "") -> SurfaceGrid:
-    rows = _open_rows(path)
-    if not rows or not rows[0] or rows[0][0].strip().lstrip("﻿") != _SURFACE_CORNER:
-        raise ValidationError(f"{path}: not a surface CSV (corner cell mismatch)")
-    axis2 = [_parse_float(cell, 1, "axis2") for cell in rows[0][1:]]
-    axis1, values = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(axis2) + 1:
-            raise ValidationError(f"{path} line {line_no}: ragged row")
-        axis1.append(_parse_float(row[0], line_no, "axis1"))
-        values.append([_parse_float(cell, line_no, "value") for cell in row[1:]])
-    return SurfaceGrid(values=np.array(values), axis1=np.array(axis1),
-                       axis2=np.array(axis2), label=label)
-
-
 def write_truth_csv(path, truths: dict):
     """Long-form CSV of the simulation truth surfaces (p0, delta, p)."""
     p0, delta, p = truths["p0"], truths["delta"], truths["p"]

@@ -25,10 +25,9 @@ import numpy as np
 
 from .data import LogConcGrid, PlateDataset
 from .errors import InitializationError, ValidationError
-from .model import (COLUMN, EXP_CLAMP, N_SCALARS, VARIANCES, HalfCauchyPrior, InverseGammaPrior,
-                    PriorSpec, SurfaceDesign, check_row, curve_values, initial_state,
-                    link_delta, link_denominators, link_numerators, log_prior,
-                    observation_log_densities, surfaces)
+from .model import (COLUMN, EXP_CLAMP, N_SCALARS, VARIANCES, HalfCauchyPrior, PriorSpec,
+                    SurfaceDesign, check_row, curve_values, initial_state, link_delta,
+                    link_denominators, link_numerators, observation_log_densities, surfaces)
 from .splines import SplineSpec, penalty_precision
 
 BLOCK_NAMES = (
@@ -215,11 +214,6 @@ class AdaptiveState:
                 pass
 
 
-def variance_posterior_params(prior: InverseGammaPrior, sum_sq: float, n_terms: float):
-    """Conjugate Inverse-Gamma posterior parameters for a Gaussian variance."""
-    return prior.shape + 0.5 * n_terms, prior.rate + 0.5 * sum_sq
-
-
 def draw_inverse_gamma(rng, shape: float, rate: float) -> float:
     return 1.0 / rng.gamma(shape, 1.0 / rate)
 
@@ -349,12 +343,17 @@ class _Sampler:
             self.ss = self._fit(p0, numerators, denominators)
             self.parts = (f1, f2, p0, numerators, bpred, slopes, denominators)
 
-        start_ll = self._loglik(self.ss, self.theta[COLUMN["sigma2_eps"]])
-        start_lp = log_prior(start, priors, spline)
-        if not (math.isfinite(start_ll) and math.isfinite(start_lp)):
-            raise InitializationError(
-                f"non-finite posterior at initialization "
-                f"(loglik={start_ll}, logprior={start_lp})")
+        # of the terms the updates price, only these can overflow on a checked
+        # row; the Gamma and half-Cauchy terms stay finite there
+        th = self.theta
+        start_terms = {"log likelihood": self._loglik(self.ss, th[COLUMN["sigma2_eps"]]),
+                       "C prior quadratic form": self.quad}
+        for var in VARIANCES[:-1]:
+            phi = var.removeprefix("sigma2_")
+            start_terms[f"{phi}^2 / {var}"] = th[COLUMN[phi]] * th[COLUMN[phi]] / th[COLUMN[var]]
+        for term, value in start_terms.items():
+            if not math.isfinite(value):
+                raise InitializationError(f"non-finite {term} at the starting row: {value}")
 
         hc = priors.variance_prior if isinstance(priors.variance_prior, HalfCauchyPrior) else None
         self.hc = hc
@@ -542,8 +541,8 @@ class _Sampler:
         phi = None if eps else COLUMN[name.removeprefix("sigma2_")]
         n_terms = float(self.n_obs) if eps else 1.0
         if self.ig is not None:
-            # the shape is fixed; each draw adds the data's 0.5 * sum_sq to the rate
-            shape, rate = variance_posterior_params(self.ig, 0.0, n_terms)
+            # the conjugate shape is fixed; each draw adds 0.5 * sum_sq to the rate
+            shape, rate = self.ig.shape + 0.5 * n_terms, self.ig.rate
 
             def draw(iteration):
                 sum_sq = self.ss if eps else th[phi] * th[phi]

@@ -16,16 +16,13 @@ import numpy as np
 
 from .data import LogConcGrid, PlateDataset
 from .errors import ValidationError
-from .splines import SplineSpec, basis_matrix, penalty_precision
+from .splines import SplineSpec, basis_matrix
 
 LN10 = math.log(10.0)
 # Clamp for exp() arguments; keeps every intermediate finite in float64.
 EXP_CLAMP = 700.0
 # Clamp for base-10 exponents inside the log-logistic curve.
 POW10_CLAMP = 300.0
-
-# Parameters with a N(0, sigma2) prior and a sampled prior variance.
-PHI_NAMES = ("m1", "m2", "gamma0", "gamma1", "gamma2")
 
 LINEAR_SCALES = ("log10", "natural")
 
@@ -60,12 +57,6 @@ class GammaPrior:
         if not (self.shape > 0.0 and self.rate > 0.0):
             raise ValidationError("Gamma prior needs positive shape and rate")
 
-    def log_density(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        return (self.shape * math.log(self.rate) - math.lgamma(self.shape)
-                + (self.shape - 1.0) * math.log(x) - self.rate * x)
-
 
 @dataclass(frozen=True)
 class HalfCauchyPrior:
@@ -76,11 +67,6 @@ class HalfCauchyPrior:
     def __post_init__(self):
         if not self.scale > 0.0:
             raise ValidationError("Half-Cauchy prior needs a positive scale")
-
-    def log_density(self, sigma: float) -> float:
-        if sigma <= 0.0:
-            return -math.inf
-        return math.log(2.0 * self.scale / math.pi) - math.log(sigma * sigma + self.scale * self.scale)
 
 
 @dataclass(frozen=True)
@@ -94,12 +80,6 @@ class InverseGammaPrior:
         if not (self.shape > 0.0 and self.rate > 0.0):
             raise ValidationError("Inverse-Gamma prior needs positive shape and rate")
 
-    def log_density(self, sigma2: float) -> float:
-        if sigma2 <= 0.0:
-            return -math.inf
-        return (self.shape * math.log(self.rate) - math.lgamma(self.shape)
-                - (self.shape + 1.0) * math.log(sigma2) - self.rate / sigma2)
-
 
 _DEFAULT_GAMMA = GammaPrior(0.01, 0.01)  # mean 1, variance 100
 
@@ -110,7 +90,8 @@ class PriorSpec:
 
     variance_prior applies to all sampled variances (the five N(0, sigma2_phi)
     hypervariances and the observation noise sigma2_eps); Half-Cauchy priors
-    act on the sigma scale, Inverse-Gamma priors on the variance itself.
+    act on the sigma scale, Inverse-Gamma priors on the variance itself. The
+    sampler's block updates (mcmc) are the one place that prices these densities.
     """
 
     lambda1: GammaPrior = _DEFAULT_GAMMA
@@ -125,11 +106,6 @@ class PriorSpec:
             raise ValidationError("variance_prior must be HalfCauchyPrior or InverseGammaPrior")
         if not self.spline_penalty_ridge > 0.0:
             raise ValidationError("spline_penalty_ridge must be positive")
-
-    def variance_log_density(self, sigma2: float) -> float:
-        if isinstance(self.variance_prior, HalfCauchyPrior):
-            return self.variance_prior.log_density(math.sqrt(sigma2))
-        return self.variance_prior.log_density(sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +283,7 @@ def _logistic(slope, values, out):
 
 
 # ---------------------------------------------------------------------------
-# Likelihood and prior densities
+# Likelihood
 
 
 def observation_log_densities(data: PlateDataset, p_values: np.ndarray,
@@ -323,52 +299,6 @@ def observation_log_densities(data: PlateDataset, p_values: np.ndarray,
     sigma2 = sigma2[..., None, None, None]
     resid = data.viability - np.asarray(p_values, dtype=float)[..., None]
     return -0.5 * np.log(2.0 * math.pi * sigma2) - resid * resid / (2.0 * sigma2)
-
-
-def normal_log_density(x: float, sigma2: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * sigma2) - x * x / (2.0 * sigma2)
-
-
-def matrix_normal_log_density(C: np.ndarray, prec_rows: np.ndarray,
-                              prec_cols: np.ndarray) -> float:
-    """Centered matrix-normal log density with row/column precision matrices.
-
-    Equivalent to vec_F(C) ~ N(0, (prec_cols kron prec_rows)^-1).
-    """
-    C = np.asarray(C, dtype=float)
-    k1, k2 = C.shape
-    if prec_rows.shape != (k1, k1) or prec_cols.shape != (k2, k2):
-        raise ValidationError("precision shapes do not match the coefficient matrix")
-    sign1, logdet1 = np.linalg.slogdet(prec_rows)
-    sign2, logdet2 = np.linalg.slogdet(prec_cols)
-    if sign1 <= 0 or sign2 <= 0:
-        raise ValidationError("precision matrices must be positive definite")
-    quad = float(np.sum(prec_cols * (C.T @ prec_rows @ C)))
-    return (-0.5 * k1 * k2 * math.log(2.0 * math.pi)
-            + 0.5 * k2 * logdet1 + 0.5 * k1 * logdet2
-            - 0.5 * quad)
-
-
-def log_prior(row, priors: PriorSpec, spline: SplineSpec) -> float:
-    """Joint log prior density of a parameter row, checked by check_row.
-
-    Half-Cauchy variance priors are densities on the sigma scale; the
-    Inverse-Gamma alternative is a density on the variance itself. C uses the
-    second-difference penalty precisions of the spline layout.
-    """
-    row = check_row(row, spline)
-    total = 0.0
-    for name in PHI_NAMES:
-        total += normal_log_density(row[COLUMN[name]], row[COLUMN["sigma2_" + name]])
-    for name in ("lambda1", "lambda2", "b1", "b2"):
-        total += getattr(priors, name).log_density(row[COLUMN[name]])
-    prec1 = penalty_precision(spline.k1, spline.penalty_ridge)
-    prec2 = penalty_precision(spline.k2, spline.penalty_ridge)
-    total += matrix_normal_log_density(row[N_SCALARS:].reshape(spline.k1, spline.k2),
-                                       prec1, prec2)
-    for name in VARIANCES:
-        total += priors.variance_log_density(row[COLUMN[name]])
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

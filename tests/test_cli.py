@@ -5,9 +5,10 @@ import pytest
 
 from combofit import ValidationError
 from combofit.cli import FIT_DEFAULTS, OUTDIR_ENV, main
-from combofit.io import (ingest_plate, read_json, read_samples_csv,
-                         read_surface_csv, read_truth_csv, write_json,
-                         write_plate_csv)
+from combofit.io import (ingest_plate, read_json, read_samples_csv, read_truth_csv,
+                         write_json, write_plate_csv)
+
+import reference  # perfbench's oracle, which imports no combofit
 
 FIT_FILES = ("samples.csv", "surface_p.csv", "surface_p0.csv",
              "surface_delta.csv", "summary.json")
@@ -72,11 +73,10 @@ def test_fit_writes_all_outputs(tmp_path, plate_csv):
     assert summary["interaction_labels"]["delta_plus"] == "synergistic"
     samples = read_samples_csv(outdir / "samples.csv")
     assert len(samples.draws) == 50
-    surface = read_surface_csv(outdir / "surface_p.csv")
-    assert surface.values.shape == (5, 4)
-    p0 = read_surface_csv(outdir / "surface_p0.csv").values
-    delta = read_surface_csv(outdir / "surface_delta.csv").values
-    np.testing.assert_allclose(surface.values, p0 + delta, atol=1e-15)
+    p, p0, delta = (reference.read_surface(outdir / f"surface_{name}.csv")[2]
+                    for name in ("p", "p0", "delta"))
+    assert p.shape == (5, 4)
+    np.testing.assert_allclose(p, p0 + delta, atol=1e-15)
 
 
 def test_fit_is_deterministic(tmp_path, plate_csv):

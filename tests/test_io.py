@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combofit import SimScenario, SurfaceGrid, ValidationError, sample_plate
-from combofit.io import (PLATE_HEADER, ingest_plate, read_json,
-                         read_samples_csv, read_surface_csv, read_truth_csv,
-                         samples_header, write_json, write_plate_csv,
+from combofit.io import (PLATE_HEADER, ingest_plate, read_json, read_samples_csv,
+                         read_truth_csv, samples_header, write_json, write_plate_csv,
                          write_samples_csv, write_surface_csv, write_truth_csv)
 from combofit.model import COLUMN, DRAW_SCALARS, POSITIVE_SCALARS
+
+import reference  # perfbench's oracle, which imports no combofit
 
 PLATE_2X2 = """drug1_conc,drug2_conc,replicate,viability
 1.0,0.0,1,0.55
@@ -111,23 +112,10 @@ def test_surface_round_trip_is_bit_exact(tmp_path):
                           axis2=np.linspace(-5.5, 5.5, 6))
     path = tmp_path / "surface.csv"
     write_surface_csv(path, surface)
-    back = read_surface_csv(path, label="p")
-    np.testing.assert_array_equal(back.values, surface.values)
-    np.testing.assert_array_equal(back.axis1, surface.axis1)
-    np.testing.assert_array_equal(back.axis2, surface.axis2)
-    assert back.label == "p"
-
-
-def test_surface_error_paths(tmp_path):
-    path = tmp_path / "surface.csv"
-    path.write_text("wrong,0.0\n1.0,0.5\n")
-    with pytest.raises(ValidationError) as err:
-        read_surface_csv(path)
-    assert "corner" in str(err.value)
-    path.write_text("log10_conc1\\log10_conc2,0.0,1.0\n0.0,0.5\n")
-    with pytest.raises(ValidationError) as err:
-        read_surface_csv(path)
-    assert "ragged" in str(err.value)
+    axis1, axis2, values = reference.read_surface(path)
+    np.testing.assert_array_equal(values, surface.values)
+    np.testing.assert_array_equal(axis1, surface.axis1)
+    np.testing.assert_array_equal(axis2, surface.axis2)
 
 
 # ---------------------------------------------------------------------------

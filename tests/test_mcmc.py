@@ -10,12 +10,11 @@ from scipy import stats
 
 from combofit import (AdaptiveState, ChainConfig, HalfCauchyPrior, InitializationError,
                       InverseGammaPrior, Posterior, PriorSpec, SplineSpec,
-                      ValidationError, initial_state, run_chain, run_chains,
-                      variance_posterior_params)
+                      ValidationError, initial_state, run_chain, run_chains)
 from combofit.mcmc import (_REBUILD_BLOCK, ADAPT_JITTER, BLOCK_NAMES,
                            DEFAULT_PROPOSAL_SCALES, REFRESH, _Sampler, draw_inverse_gamma)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
-                            SurfaceDesign, link_delta, log_prior, surfaces)
+                            VARIANCES, SurfaceDesign, link_delta, surfaces)
 from combofit.splines import basis_matrix, penalty_precision
 
 import reference  # perfbench's oracle, which imports no combofit
@@ -157,12 +156,6 @@ def test_two_dimensional_factor_matches_numpy_cholesky_bitwise():
 
 # ---------------------------------------------------------------------------
 # Conjugate variance machinery
-
-
-def test_variance_posterior_params_single_observation():
-    shape, rate = variance_posterior_params(InverseGammaPrior(1.0, 1.0), 0.0, 1.0)
-    assert shape == 1.5
-    assert rate == 1.0
 
 
 def test_draw_inverse_gamma_distribution():
@@ -321,12 +314,18 @@ def test_frozen_blocks_stay_at_start(small_plate, small_grid, small_spline):
     assert np.abs(chain.scalar_series("m1") - start[COLUMN["m1"]]).max() > 0.0
 
 
-def test_initialization_error_on_degenerate_start(small_plate, small_grid,
-                                                  small_spline):
+@pytest.mark.parametrize("column, value, prior_only", [
+    (COLUMN["sigma2_eps"], 1e-320, False),  # the log likelihood overflows
+    (COLUMN["gamma0"], 1e200, False),  # only gamma0^2 / sigma2_gamma0: the link clamps B
+    (N_SCALARS + 3, 1e200, False),  # only C's prior quadratic form
+    (N_SCALARS + 3, 1e200, True),
+], ids=("sigma2_eps", "gamma0", "C", "C_prior_only"))
+def test_initialization_error_on_degenerate_start(small_plate, small_grid, small_spline,
+                                                  column, value, prior_only):
     bad = initial_state(small_grid, small_spline)
-    bad[COLUMN["sigma2_eps"]] = 1e-320
+    bad[column] = value
     with pytest.raises(InitializationError):
-        run_chain(small_plate, config=TINY, initial=bad)
+        run_chain(small_plate, config=TINY, initial=bad, prior_only=prior_only)
 
 
 def test_initial_row_is_checked_before_any_sweep(small_plate, small_grid, small_spline,
@@ -370,6 +369,34 @@ def _walked(name, row, x):
     return row, float(x.sum())
 
 
+def _log_prior(rows, priors, spline):
+    """Log prior density of each row, up to a constant, from scipy.stats: the
+    half-Cauchy is a density on sigma, the Inverse-Gamma on the variance, and
+    C's is -0.5 c'Pc with P = kron(P1, P2), P_k = D'D + ridge I, D the second
+    differences, on C raveled row-major."""
+    def col(name):
+        return rows[:, COLUMN[name]]
+
+    total = sum(stats.norm.logpdf(col(phi), scale=np.sqrt(col("sigma2_" + phi)))
+                for phi in ("m1", "m2", "gamma0", "gamma1", "gamma2"))
+    for name in ("lambda1", "lambda2", "b1", "b2"):
+        prior = getattr(priors, name)
+        total += stats.gamma.logpdf(col(name), a=prior.shape, scale=1.0 / prior.rate)
+    vp = priors.variance_prior
+    for name in VARIANCES:
+        if isinstance(vp, HalfCauchyPrior):
+            total += stats.halfcauchy.logpdf(np.sqrt(col(name)), scale=vp.scale)
+        else:
+            total += stats.invgamma.logpdf(col(name), a=vp.shape, scale=vp.rate)
+
+    def precision(k):
+        d = np.diff(np.eye(k), 2, axis=0)
+        return d.T @ d + spline.penalty_ridge * np.eye(k)
+    c = rows[:, N_SCALARS:]
+    quad = np.einsum("ni,ij,nj->n", c, np.kron(precision(spline.k1), precision(spline.k2)), c)
+    return total - 0.5 * quad
+
+
 @pytest.mark.parametrize("variance_prior", [HalfCauchyPrior(1.0), InverseGammaPrior(3.0, 2.0)],
                          ids=("half_cauchy", "inverse_gamma"))
 def test_log_acceptance_ratio_is_the_log_posterior_difference(small_plate, small_grid,
@@ -378,7 +405,7 @@ def test_log_acceptance_ratio_is_the_log_posterior_difference(small_plate, small
     # every Metropolis decision's log_a is the log posterior at the candidate
     # minus that at the current row, plus the difference of the walk's log
     # Jacobian; the log posterior is the oracle's surfaces' summed observation
-    # log densities plus model.log_prior, whose half-Cauchy is a density on sigma
+    # log densities plus _log_prior's scipy.stats densities
     records, step = [], _Sampler._step
 
     def recorded(self, name, log_a, t, tc, iteration):
@@ -408,8 +435,7 @@ def test_log_acceptance_ratio_is_the_log_posterior_difference(small_plate, small
         s2 = rows[:, COLUMN["sigma2_eps"], None, None, None]
         resid = small_plate.viability - (p0 + delta)[..., None]
         densities = -0.5 * np.log(2.0 * math.pi * s2) - resid * resid / (2.0 * s2)
-        return (densities.sum(axis=(1, 2, 3))
-                + [log_prior(row, priors, small_spline) for row in rows])
+        return densities.sum(axis=(1, 2, 3)) + _log_prior(rows, priors, small_spline)
 
     jacobian = np.array([cand_j - cur_j for (_, cur_j), (_, cand_j), _ in walked])
     want = log_posterior(candidate) - log_posterior(current) + jacobian

@@ -9,13 +9,11 @@ from scipy import stats
 
 from combofit import (GammaPrior, HalfCauchyPrior, InverseGammaPrior, PriorSpec,
                       SimScenario, SplineSpec, ValidationError, curve_values,
-                      initial_state, log_prior, reference_grid, sample_plate)
+                      initial_state, reference_grid, sample_plate)
 from combofit import model
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, VARIANCES,
                             SurfaceDesign, link_delta, link_denominators, link_numerators,
-                            matrix_normal_log_density, normal_log_density,
                             observation_log_densities, summed_mean_surface, surfaces)
-from combofit.splines import penalty_precision
 
 import reference  # perfbench's oracle, which imports no combofit
 
@@ -291,12 +289,6 @@ def test_batched_surfaces_reject_wrong_coefficient_count(small_grid, small_splin
 # Likelihood
 
 
-def test_single_observation_log_density():
-    # y = p, sigma2 = 1: density is -log(sqrt(2 pi))
-    assert normal_log_density(0.0, 1.0) == pytest.approx(-0.9189385332046727,
-                                                         abs=1e-12)
-
-
 def test_log_likelihood_matches_naive_oracle(small_plate, small_grid, small_spline):
     p = _mean(small_grid, small_spline, initial_state(small_grid, small_spline))
     sigma2 = 0.013
@@ -344,26 +336,6 @@ def test_log_likelihood_rejects_bad_sigma(small_plate, small_grid, small_spline)
 # Priors
 
 
-def test_gamma_prior_golden_value():
-    # Gamma(0.01, 0.01) log density at 1, frozen from an external computation
-    prior = GammaPrior(0.01, 0.01)
-    assert prior.log_density(1.0) == pytest.approx(-4.655531579901903, abs=1e-12)
-    assert prior.log_density(-1.0) == -math.inf
-
-
-def test_half_cauchy_golden_value():
-    # at sigma = 1 the scale-1 half-Cauchy density is 1/pi
-    prior = HalfCauchyPrior(1.0)
-    assert prior.log_density(1.0) == pytest.approx(-1.1447298858494002, abs=1e-12)
-    assert prior.log_density(0.0) == -math.inf
-
-
-def test_inverse_gamma_matches_scipy():
-    prior = InverseGammaPrior(3.0, 2.0)
-    assert prior.log_density(0.7) == pytest.approx(
-        stats.invgamma.logpdf(0.7, a=3.0, scale=2.0), abs=1e-12)
-
-
 def test_prior_validation():
     with pytest.raises(ValidationError):
         GammaPrior(0.0, 1.0)
@@ -373,50 +345,6 @@ def test_prior_validation():
         InverseGammaPrior(1.0, 0.0)
     with pytest.raises(ValidationError):
         PriorSpec(variance_prior="hc")
-
-
-def test_variance_log_density_dispatch():
-    hc = PriorSpec(variance_prior=HalfCauchyPrior(1.0))
-    # half-Cauchy acts on sigma, so evaluate at sigma = sqrt(sigma2)
-    assert hc.variance_log_density(4.0) == pytest.approx(
-        HalfCauchyPrior(1.0).log_density(2.0))
-    ig = PriorSpec(variance_prior=InverseGammaPrior(3.0, 2.0))
-    assert ig.variance_log_density(4.0) == pytest.approx(
-        InverseGammaPrior(3.0, 2.0).log_density(4.0))
-
-
-def test_matrix_normal_matches_kronecker_oracle():
-    rng = np.random.default_rng(41)
-    prec_rows = penalty_precision(3, 0.3)
-    prec_cols = penalty_precision(4, 0.7)
-    C = rng.standard_normal((3, 4))
-    # column-stacked vec(C) has precision prec_cols kron prec_rows
-    big = np.kron(prec_cols, prec_rows)
-    v = C.ravel(order="F")
-    sign, logdet = np.linalg.slogdet(big)
-    assert sign > 0
-    expected = -0.5 * (12 * math.log(2 * math.pi) - logdet + v @ big @ v)
-    assert matrix_normal_log_density(C, prec_rows, prec_cols) == pytest.approx(
-        expected, abs=1e-10)
-
-
-def test_matrix_normal_rejects_shape_mismatch():
-    with pytest.raises(ValidationError):
-        matrix_normal_log_density(np.zeros((3, 4)), np.eye(4), np.eye(4))
-
-
-def test_log_prior_finite_at_initial_state(small_grid, small_spline):
-    row = initial_state(small_grid, small_spline)
-    for priors in (PriorSpec(),
-                   PriorSpec(variance_prior=InverseGammaPrior(3.0, 2.0))):
-        value = log_prior(row, priors, small_spline)
-        assert math.isfinite(value)
-
-
-def test_log_prior_rejects_wrong_coefficient_shape(small_grid, small_spline):
-    row = np.append(initial_state(small_grid, small_spline)[:N_SCALARS], np.zeros(4))
-    with pytest.raises(ValidationError):
-        log_prior(row, PriorSpec(), small_spline)
 
 
 # ---------------------------------------------------------------------------
