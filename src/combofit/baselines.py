@@ -20,6 +20,11 @@ from .model import curve_values
 _M_MARGIN = 5.0
 _LOG_LAMBDA_BOUNDS = (-6.0, 3.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# fit_2ll's limit on coordinate-descent sweeps, and loewe_cell's bisection
+# bracket on y with its tolerances on the combination index and bracket width.
+_MAX_SWEEPS = 100
+_LOEWE_Y_BOUNDS = (1e-9, 1.0 - 1e-9)
+_LOEWE_INDEX_TOL, _LOEWE_Y_TOL = 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,6 @@ class MonoFit:
     m: float
     lam: float
     rss: float
-    converged: bool
     lambda_at_bound: bool
 
     def curve(self, logx):
@@ -58,7 +62,7 @@ def _golden_min(fn, lo, hi, tol=1e-11, max_iter=300):
     return xm, fn(xm)
 
 
-def fit_2ll(logx, y, max_sweeps: int = 100) -> MonoFit:
+def fit_2ll(logx, y) -> MonoFit:
     """Fit the 2-parameter log-logistic curve by least squares.
 
     Grid search over (m, log10 lambda) picks a start, then coordinate descent
@@ -96,22 +100,15 @@ def fit_2ll(logx, y, max_sweeps: int = 100) -> MonoFit:
     m, u = float(m_grid[i]), float(u_grid[j])
     best = rss_of(m, 10.0 ** u)
 
-    converged = False
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         m, _ = _golden_min(lambda mm: rss_of(mm, 10.0 ** u), m_lo, m_hi)
         u, rss = _golden_min(lambda uu: rss_of(m, 10.0 ** uu), *_LOG_LAMBDA_BOUNDS)
         if math.isfinite(rss) and abs(best - rss) <= 1e-14 * max(1.0, best):
-            best = rss
-            converged = True
-            break
+            at_bound = (u <= _LOG_LAMBDA_BOUNDS[0] + 1e-6) or (u >= _LOG_LAMBDA_BOUNDS[1] - 1e-6)
+            return MonoFit(m=m, lam=10.0 ** u, rss=rss, lambda_at_bound=at_bound)
         best = rss
-    lam = 10.0 ** u
-    at_bound = (u <= _LOG_LAMBDA_BOUNDS[0] + 1e-6) or (u >= _LOG_LAMBDA_BOUNDS[1] - 1e-6)
-    fit = MonoFit(m=m, lam=lam, rss=best, converged=converged, lambda_at_bound=at_bound)
-    if not converged:
-        raise FitConvergenceError(
-            f"2LL fit did not converge after {max_sweeps} sweeps (rss={best:g})", best=fit)
-    return fit
+    raise FitConvergenceError(
+        f"2LL fit did not converge after {_MAX_SWEEPS} sweeps (rss={best:g})")
 
 
 def fit_monotherapies(data: PlateDataset, grid: LogConcGrid):
@@ -131,7 +128,7 @@ def fit_monotherapies(data: PlateDataset, grid: LogConcGrid):
 def bliss_surface(fit1: MonoFit, fit2: MonoFit, grid: LogConcGrid) -> SurfaceGrid:
     """Independence surface: product of the two fitted monotherapy curves."""
     values = np.outer(fit1.curve(grid.logc1), fit2.curve(grid.logc2))
-    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label="bliss")
+    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2)
 
 
 def hsa_surface(margin1, margin2, grid: LogConcGrid) -> SurfaceGrid:
@@ -141,7 +138,7 @@ def hsa_surface(margin1, margin2, grid: LogConcGrid) -> SurfaceGrid:
     if margin1.size != grid.logc1.size or margin2.size != grid.logc2.size:
         raise ValidationError("margin lengths must match the grid axes")
     values = np.maximum(margin1[:, None], margin2[None, :])
-    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label="hsa")
+    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2)
 
 
 def _log10_inverse_curve(fit: MonoFit, y: float) -> float:
@@ -156,14 +153,13 @@ def _loewe_index(lx1: float, lx2: float, fit1: MonoFit, fit2: MonoFit, y: float)
     return 10.0 ** e1 + 10.0 ** e2
 
 
-def loewe_cell(lx1: float, lx2: float, fit1: MonoFit, fit2: MonoFit,
-               y_bounds=(1e-9, 1.0 - 1e-9), index_tol=1e-10, y_tol=1e-12):
+def loewe_cell(lx1: float, lx2: float, fit1: MonoFit, fit2: MonoFit):
     """Solve the Loewe additivity equation for one cell by bisection.
 
     Returns (y, flagged); flagged is True when the combination index has no
     sign change on the bracket, in which case the boundary value is reported.
     """
-    lo, hi = y_bounds
+    lo, hi = _LOEWE_Y_BOUNDS
     f_lo = _loewe_index(lx1, lx2, fit1, fit2, lo) - 1.0
     f_hi = _loewe_index(lx1, lx2, fit1, fit2, hi) - 1.0
     if f_lo > 0.0:
@@ -173,7 +169,7 @@ def loewe_cell(lx1: float, lx2: float, fit1: MonoFit, fit2: MonoFit,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = _loewe_index(lx1, lx2, fit1, fit2, mid) - 1.0
-        if abs(f_mid) <= index_tol or (hi - lo) <= y_tol:
+        if abs(f_mid) <= _LOEWE_INDEX_TOL or (hi - lo) <= _LOEWE_Y_TOL:
             return mid, False
         if f_mid > 0.0:
             hi = mid
@@ -201,7 +197,7 @@ def loewe_surface(fit1: MonoFit, fit2: MonoFit, grid: LogConcGrid):
         for j in range(1, n2):
             values[i, j], flagged[i, j] = loewe_cell(
                 grid.logc1[i], grid.logc2[j], fit1, fit2)
-    surface = SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label="loewe")
+    surface = SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2)
     return surface, flagged
 
 
@@ -232,7 +228,7 @@ def zip_surface(fit1: MonoFit, fit2: MonoFit, data: PlateDataset, grid: LogConcG
     except (FitConvergenceError, ValidationError):
         return bliss_surface(fit1, fit2, grid), True
     values = 0.5 * (rows + cols)
-    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2, label="zip"), False
+    return SurfaceGrid(values=values, axis1=grid.logc1, axis2=grid.logc2), False
 
 
 BASELINE_METHODS = ("bliss", "hsa", "loewe", "zip")
@@ -260,6 +256,5 @@ def baseline_delta(data: PlateDataset, method: str, grid: LogConcGrid = None):
             info["flagged_cells"] = int(flagged.sum())
         else:
             surface, info["fell_back"] = zip_surface(fit1, fit2, data, grid)
-    delta = SurfaceGrid(values=ym - surface.values, axis1=grid.logc1, axis2=grid.logc2,
-                        label=f"delta_{method}")
+    delta = SurfaceGrid(values=ym - surface.values, axis1=grid.logc1, axis2=grid.logc2)
     return delta, surface, info

@@ -104,8 +104,7 @@ class RunConfig:
         var_prior = VARIANCE_PRIORS[self.variance_prior](self)
         lam = GammaPrior(self.lambda_shape, self.lambda_rate)
         slope = GammaPrior(self.b_shape, self.b_rate)
-        return PriorSpec(lambda1=lam, lambda2=lam, b1=slope, b2=slope,
-                         variance_prior=var_prior, spline_penalty_ridge=self.ridge)
+        return PriorSpec(lambda1=lam, lambda2=lam, b1=slope, b2=slope, variance_prior=var_prior)
 
 
 FIT_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -311,7 +310,7 @@ def _cmd_fit(args) -> int:
         mean = report.posterior_mean
         for key in ("p", "p0", "delta"):
             cio.write_surface_csv(out.path(f"surface_{key}.csv"), SurfaceGrid(
-                values=mean[key], axis1=grid.logc1, axis2=grid.logc2, label=f"{key}_mean"))
+                values=mean[key], axis1=grid.logc1, axis2=grid.logc2))
         payload = {"config": asdict(run_cfg),
                    "input": str(args.input),
                    "plate_sha256": _plate_sha256(data),

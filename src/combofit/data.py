@@ -83,8 +83,6 @@ class LogConcGrid:
 
     logc1: np.ndarray
     logc2: np.ndarray
-    zero_sub1: float
-    zero_sub2: float
 
     def __post_init__(self):
         logc1 = _as_float_array(self.logc1, "logc1", 1)
@@ -92,8 +90,6 @@ class LogConcGrid:
         for name, axis in (("logc1", logc1), ("logc2", logc2)):
             if np.any(np.diff(axis) <= 0.0):
                 raise ValidationError(f"{name} must be strictly increasing")
-        if logc1[0] != self.zero_sub1 or logc2[0] != self.zero_sub2:
-            raise ValidationError("substituted zero must sit at index 0 of each axis")
         object.__setattr__(self, "logc1", logc1)
         object.__setattr__(self, "logc2", logc2)
 
@@ -103,7 +99,7 @@ class LogConcGrid:
         sub2 = float(np.log10(data.conc2[1]) - ZERO_OFFSET_DECADES)
         logc1 = np.concatenate(([sub1], np.log10(data.conc1[1:])))
         logc2 = np.concatenate(([sub2], np.log10(data.conc2[1:])))
-        return cls(logc1=logc1, logc2=logc2, zero_sub1=sub1, zero_sub2=sub2)
+        return cls(logc1=logc1, logc2=logc2)
 
     @property
     def shape(self):
@@ -124,7 +120,6 @@ class SurfaceGrid:
     values: np.ndarray
     axis1: np.ndarray
     axis2: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         values = _as_float_array(self.values, "values", 2)

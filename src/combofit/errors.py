@@ -18,8 +18,4 @@ class InitializationError(NumericError):
 
 
 class FitConvergenceError(NumericError):
-    """Least-squares curve fit did not converge; carries the best state seen."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Least-squares curve fit did not converge."""

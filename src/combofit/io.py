@@ -56,12 +56,13 @@ def _check_header(rows, expected, path):
 # Plate data
 
 
-def ingest_plate(path, drug_names=("drug1", "drug2")) -> PlateDataset:
+def ingest_plate(path) -> PlateDataset:
     """Read a replicated plate from CSV.
 
     Schema: drug1_conc,drug2_conc,replicate,viability with replicates numbered
     1..n_rep per cell. The grid must be complete (every cell, every replicate,
-    exactly once) and both axes must include the zero concentration.
+    exactly once) and both axes must include the zero concentration. The plate
+    carries PlateDataset's default drug names.
     """
     rows = _open_rows(path)
     _check_header(rows, PLATE_HEADER, path)
@@ -104,8 +105,7 @@ def ingest_plate(path, drug_names=("drug1", "drug2")) -> PlateDataset:
                         f"missing reading for concentrations ({c1:g}, {c2:g}) "
                         f"replicate {rep}")
                 viability[i, j, rep - 1] = cells[key]
-    return PlateDataset(conc1=np.array(conc1), conc2=np.array(conc2),
-                        viability=viability, drug_names=tuple(drug_names))
+    return PlateDataset(conc1=np.array(conc1), conc2=np.array(conc2), viability=viability)
 
 
 def write_plate_csv(path, data: PlateDataset):
@@ -160,6 +160,9 @@ def read_truth_csv(path) -> dict:
             axis1_order.append(a1)
         if a2 not in axis2_order:
             axis2_order.append(a2)
+        if (a1, a2) in records:
+            raise ValidationError(
+                f"{path} line {line_no}: duplicate truth row for ({a1:g}, {a2:g})")
         records[(a1, a2)] = tuple(_parse_float(row[k], line_no, TRUTH_HEADER[k])
                                   for k in (2, 3, 4))
     axis1 = np.array(axis1_order)
@@ -172,8 +175,7 @@ def read_truth_csv(path) -> dict:
                 if (a1, a2) not in records:
                     raise ValidationError(f"{path}: incomplete truth grid at ({a1}, {a2})")
                 values[i, j] = records[(a1, a2)][offset]
-        grids[name] = SurfaceGrid(values=values, axis1=axis1, axis2=axis2,
-                                  label=f"truth_{name}")
+        grids[name] = SurfaceGrid(values=values, axis1=axis1, axis2=axis2)
     return grids
 
 

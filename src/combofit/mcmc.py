@@ -327,7 +327,8 @@ class _Sampler:
         start = initial_state(grid, spline) if initial is None else check_row(initial, spline)
         self.theta = start[:N_SCALARS].tolist()
         self.c = start[N_SCALARS:].copy()
-        self.quad = float(self.c @ (self.precision @ self.c))
+        with np.errstate(over="ignore"):  # the start check below reports an inf quad
+            self.quad = float(self.c @ (self.precision @ self.c))
 
         self.likelihood = not prior_only
         self.ss, self.parts = 0.0, None
@@ -343,6 +344,10 @@ class _Sampler:
             self.ss = self._fit(p0, numerators, denominators)
             self.parts = (f1, f2, p0, numerators, bpred, slopes, denominators)
 
+        hc = priors.variance_prior if isinstance(priors.variance_prior, HalfCauchyPrior) else None
+        self.hc = hc
+        self.ig = priors.variance_prior if hc is None else None
+
         # of the terms the updates price, only these can overflow on a checked
         # row; the Gamma and half-Cauchy terms stay finite there
         th = self.theta
@@ -351,13 +356,12 @@ class _Sampler:
         for var in VARIANCES[:-1]:
             phi = var.removeprefix("sigma2_")
             start_terms[f"{phi}^2 / {var}"] = th[COLUMN[phi]] * th[COLUMN[phi]] / th[COLUMN[var]]
+        if hc is not None:  # the walk prices 1 / sigma2; a conjugate draw never reads it
+            start_terms.update({f"1 / {var}": 1.0 / th[COLUMN[var]]
+                                for var in VARIANCES if var in self.active})
         for term, value in start_terms.items():
             if not math.isfinite(value):
                 raise InitializationError(f"non-finite {term} at the starting row: {value}")
-
-        hc = priors.variance_prior if isinstance(priors.variance_prior, HalfCauchyPrior) else None
-        self.hc = hc
-        self.ig = priors.variance_prior if hc is None else None
 
         self.adapters = {}
         for name in BLOCK_NAMES:
@@ -628,8 +632,7 @@ def run_chain(data: PlateDataset, priors: PriorSpec = None, spline: SplineSpec =
     priors = PriorSpec() if priors is None else priors
     config = ChainConfig() if config is None else config
     if spline is None:
-        spline = SplineSpec.for_grid(LogConcGrid.from_dataset(data),
-                                     penalty_ridge=priors.spline_penalty_ridge)
+        spline = SplineSpec.for_grid(LogConcGrid.from_dataset(data))
     sampler = _Sampler(data, priors, spline, config, linear_scale, update_blocks,
                        prior_only, initial, chain_index)
     return sampler.run()

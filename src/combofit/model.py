@@ -92,6 +92,7 @@ class PriorSpec:
     hypervariances and the observation noise sigma2_eps); Half-Cauchy priors
     act on the sigma scale, Inverse-Gamma priors on the variance itself. The
     sampler's block updates (mcmc) are the one place that prices these densities.
+    The C prior's ridge is SplineSpec.penalty_ridge.
     """
 
     lambda1: GammaPrior = _DEFAULT_GAMMA
@@ -99,13 +100,10 @@ class PriorSpec:
     b1: GammaPrior = _DEFAULT_GAMMA
     b2: GammaPrior = _DEFAULT_GAMMA
     variance_prior: object = HalfCauchyPrior(1.0)
-    spline_penalty_ridge: float = 1e-4
 
     def __post_init__(self):
         if not isinstance(self.variance_prior, (HalfCauchyPrior, InverseGammaPrior)):
             raise ValidationError("variance_prior must be HalfCauchyPrior or InverseGammaPrior")
-        if not self.spline_penalty_ridge > 0.0:
-            raise ValidationError("spline_penalty_ridge must be positive")
 
 
 # ---------------------------------------------------------------------------

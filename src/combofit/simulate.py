@@ -71,8 +71,7 @@ def truth_p0(grid: LogConcGrid) -> SurfaceGrid:
     """Probit-shaped zero-interaction truth on the substituted log grid."""
     f1 = normal_cdf((0.0 - grid.logc1) / math.sqrt(5.0))
     f2 = normal_cdf((5.0 - grid.logc2) / math.sqrt(5.0))
-    return SurfaceGrid(values=np.outer(f1, f2), axis1=grid.logc1, axis2=grid.logc2,
-                       label="truth_p0")
+    return SurfaceGrid(values=np.outer(f1, f2), axis1=grid.logc1, axis2=grid.logc2)
 
 
 def interaction_field(interaction_id: int, x1, x2):
@@ -97,8 +96,7 @@ def interaction_field(interaction_id: int, x1, x2):
 def truth_delta(grid: LogConcGrid, interaction_id: int) -> SurfaceGrid:
     """Masked interaction truth on the grid (zero on the no-drug borders)."""
     field = interaction_field(interaction_id, grid.logc1[:, None], grid.logc2[None, :])
-    return SurfaceGrid(values=field * grid.border_mask(), axis1=grid.logc1,
-                       axis2=grid.logc2, label="truth_delta")
+    return SurfaceGrid(values=field * grid.border_mask(), axis1=grid.logc1, axis2=grid.logc2)
 
 
 def sample_plate(scenario: SimScenario, grid: LogConcGrid = None):
@@ -130,6 +128,6 @@ def sample_plate(scenario: SimScenario, grid: LogConcGrid = None):
     truths = {
         "p0": p0,
         "delta": delta,
-        "p": SurfaceGrid(values=p, axis1=grid.logc1, axis2=grid.logc2, label="truth_p"),
+        "p": SurfaceGrid(values=p, axis1=grid.logc1, axis2=grid.logc2),
     }
     return data, truths

@@ -31,10 +31,8 @@ def _knot_ladder(lo: float, hi: float, n_basis: int, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplineSpec:
-    """Tensor-product spline layout for the interaction surface."""
+    """Tensor-product spline layout of the interaction surface; k1, k2 follow from the knots."""
 
-    k1: int
-    k2: int
     knots1: np.ndarray
     knots2: np.ndarray
     degree: int = 3
@@ -43,11 +41,9 @@ class SplineSpec:
     def __post_init__(self):
         knots1 = np.asarray(self.knots1, dtype=float)
         knots2 = np.asarray(self.knots2, dtype=float)
-        for name, knots, k in (("knots1", knots1, self.k1), ("knots2", knots2, self.k2)):
-            if knots.ndim != 1 or knots.size != k + self.degree + 1:
-                raise ValidationError(
-                    f"{name} must hold {k + self.degree + 1} knots for {k} basis functions"
-                )
+        for name, knots in (("knots1", knots1), ("knots2", knots2)):
+            if knots.ndim != 1 or knots.size < self.degree + 2:
+                raise ValidationError(f"{name} needs at least {self.degree + 2} knots")
             steps = np.diff(knots)
             if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
                 raise ValidationError(f"{name} must be strictly increasing and equally spaced")
@@ -56,14 +52,21 @@ class SplineSpec:
         object.__setattr__(self, "knots1", knots1)
         object.__setattr__(self, "knots2", knots2)
 
+    @property
+    def k1(self) -> int:
+        return self.knots1.size - self.degree - 1
+
+    @property
+    def k2(self) -> int:
+        return self.knots2.size - self.degree - 1
+
     @classmethod
     def for_grid(cls, grid: LogConcGrid, k1: int = 6, k2: int = 6,
                  degree: int = 3, penalty_ridge: float = 1e-4) -> "SplineSpec":
         """Lay knots over the substituted log10 range of each axis."""
         knots1 = _knot_ladder(grid.logc1[0], grid.logc1[-1], k1, degree)
         knots2 = _knot_ladder(grid.logc2[0], grid.logc2[-1], k2, degree)
-        return cls(k1=k1, k2=k2, knots1=knots1, knots2=knots2,
-                   degree=degree, penalty_ridge=penalty_ridge)
+        return cls(knots1=knots1, knots2=knots2, degree=degree, penalty_ridge=penalty_ridge)
 
 
 def basis_matrix(points, knots, degree: int = 3) -> np.ndarray:

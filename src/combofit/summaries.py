@@ -133,7 +133,7 @@ def fine_mean_surface(posterior, n_points: int = 100) -> SurfaceGrid:
     total = np.zeros((n_points, n_points))
     for rows in posterior.row_blocks():
         summed_mean_surface(rows, design, total=total)
-    return SurfaceGrid(values=total / len(posterior), axis1=ax1, axis2=ax2, label="p_fine")
+    return SurfaceGrid(values=total / len(posterior), axis1=ax1, axis2=ax2)
 
 
 def _quantile_stats(samples: np.ndarray) -> dict:

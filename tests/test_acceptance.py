@@ -341,7 +341,7 @@ def test_07_analytic_suite():
         if np.abs(basis_matrix(x, knots, spline.degree).sum(axis=1) - 1.0).max() > 1e-12:
             failures.append("spline partition of unity")
     # two identical unit-slope drugs at their EC50s: Loewe gives y = 1/3
-    unit = MonoFit(m=0.0, lam=1.0, rss=0.0, converged=True, lambda_at_bound=False)
+    unit = MonoFit(m=0.0, lam=1.0, rss=0.0, lambda_at_bound=False)
     y_cell, flagged = loewe_cell(0.0, 0.0, unit, unit)
     if flagged or abs(y_cell - 1.0 / 3.0) > 1e-8:
         failures.append("loewe 1/3 identity")

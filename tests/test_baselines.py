@@ -12,12 +12,11 @@ from combofit.baselines import BASELINE_METHODS, MonoFit, loewe_cell
 def _grid(logc1, logc2):
     logc1 = np.asarray(logc1, dtype=float)
     logc2 = np.asarray(logc2, dtype=float)
-    return LogConcGrid(logc1=logc1, logc2=logc2,
-                       zero_sub1=float(logc1[0]), zero_sub2=float(logc2[0]))
+    return LogConcGrid(logc1=logc1, logc2=logc2)
 
 
 def _mono(m, lam):
-    return MonoFit(m=m, lam=lam, rss=0.0, converged=True, lambda_at_bound=False)
+    return MonoFit(m=m, lam=lam, rss=0.0, lambda_at_bound=False)
 
 
 UNIT_GRID = _grid([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0],
@@ -35,7 +34,6 @@ def test_fit_recovers_exact_curve():
     assert fit.m == pytest.approx(0.0, abs=1e-6)
     assert fit.lam == pytest.approx(1.0, abs=1e-6)
     assert fit.rss < 1e-12
-    assert fit.converged
     assert not fit.lambda_at_bound
 
 
@@ -231,4 +229,3 @@ def test_baseline_delta_identity():
         delta, surface, _ = baseline_delta(data, method)
         np.testing.assert_array_equal(
             delta.values, data.replicate_mean() - surface.values)
-        assert delta.label == f"delta_{method}"

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from combofit import ValidationError
+from combofit import ChainConfig, SplineSpec, ValidationError, run_chains
 from combofit.cli import FIT_DEFAULTS, OUTDIR_ENV, main
 from combofit.io import (ingest_plate, read_json, read_samples_csv, read_truth_csv,
-                         write_json, write_plate_csv)
+                         write_json, write_plate_csv, write_samples_csv)
 
 import reference  # perfbench's oracle, which imports no combofit
 
@@ -205,6 +205,19 @@ def test_fit_ig_prior_flag(tmp_path, plate_csv):
     assert summary["config"]["variance_prior"] == "ig"
     assert summary["acceptance"]["0"].keys().isdisjoint(
         {"sigma2_eps", "sigma2_m1"})
+
+
+def test_fit_ridge_flag_reaches_the_sampler(tmp_path, plate_csv, small_plate, small_grid):
+    ridge, default = tmp_path / "ridge", tmp_path / "default"
+    assert _fit(plate_csv, ridge, "--ridge", "0.5") == 0
+    assert _fit(plate_csv, default, "--ridge", "1e-4") == 0
+    spline = SplineSpec.for_grid(small_grid, penalty_ridge=0.5)
+    posterior = run_chains(small_plate, 1, spline=spline,
+                           config=ChainConfig(n_iter=400, burn_in=200, thin=4, seed=7))
+    write_samples_csv(tmp_path / "direct.csv", posterior)
+    samples = (ridge / "samples.csv").read_bytes()
+    assert samples == (tmp_path / "direct.csv").read_bytes()
+    assert samples != (default / "samples.csv").read_bytes()
 
 
 def test_fit_swap_labels_flag(tmp_path, plate_csv):

@@ -53,12 +53,6 @@ def test_log_grid_zero_substitution(small_plate):
     assert grid.shape == (5, 4)
 
 
-def test_log_grid_zero_must_sit_first():
-    with pytest.raises(ValidationError):
-        LogConcGrid(logc1=np.array([-4.0, 0.0]), logc2=np.array([-4.0, 0.0]),
-                    zero_sub1=-3.0, zero_sub2=-4.0)
-
-
 def test_border_mask(small_grid):
     mask = small_grid.border_mask()
     assert mask.shape == small_grid.shape

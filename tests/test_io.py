@@ -43,11 +43,11 @@ def test_ingest_small_hand_written_plate(tmp_path):
 def test_plate_round_trip_is_bit_exact(tmp_path, small_plate):
     path = tmp_path / "plate.csv"
     write_plate_csv(path, small_plate)
-    back = ingest_plate(path, drug_names=("a", "b"))
+    back = ingest_plate(path)
     np.testing.assert_array_equal(back.conc1, small_plate.conc1)
     np.testing.assert_array_equal(back.conc2, small_plate.conc2)
     np.testing.assert_array_equal(back.viability, small_plate.viability)
-    assert back.drug_names == ("a", "b")
+    assert back.drug_names == ("drug1", "drug2")
 
 
 def test_plate_write_is_deterministic(tmp_path, small_plate):
@@ -143,6 +143,17 @@ def test_truth_detects_incomplete_grid(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_truth_csv(path)
     assert "incomplete" in str(err.value)
+
+
+def test_truth_rejects_a_repeated_cell(tmp_path):
+    _, truths = sample_plate(SimScenario(1, seed=2))
+    path = tmp_path / "truth.csv"
+    write_truth_csv(path, truths)
+    lines = path.read_text().splitlines()
+    lines.append(lines[5])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=f"line {len(lines)}: duplicate truth row"):
+        read_truth_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -314,18 +314,32 @@ def test_frozen_blocks_stay_at_start(small_plate, small_grid, small_spline):
     assert np.abs(chain.scalar_series("m1") - start[COLUMN["m1"]]).max() > 0.0
 
 
-@pytest.mark.parametrize("column, value, prior_only", [
-    (COLUMN["sigma2_eps"], 1e-320, False),  # the log likelihood overflows
-    (COLUMN["gamma0"], 1e200, False),  # only gamma0^2 / sigma2_gamma0: the link clamps B
-    (N_SCALARS + 3, 1e200, False),  # only C's prior quadratic form
-    (N_SCALARS + 3, 1e200, True),
-], ids=("sigma2_eps", "gamma0", "C", "C_prior_only"))
+@pytest.mark.parametrize("column, value, prior_only, term", [
+    (COLUMN["sigma2_eps"], 1e-320, False, "log likelihood"),
+    # the link clamps B, so only the prior term overflows
+    (COLUMN["gamma0"], 1e200, False, "gamma0\\^2 / sigma2_gamma0"),
+    (N_SCALARS + 3, 1e200, False, "C prior quadratic form"),
+    (N_SCALARS + 3, 1e200, True, "C prior quadratic form"),
+    # gamma0 = 0 keeps gamma0^2 / sigma2_gamma0 finite; the half-Cauchy walk
+    # would never move from 1 / sigma2_gamma0 = inf
+    (COLUMN["sigma2_gamma0"], 1e-320, False, "1 / sigma2_gamma0"),
+], ids=("sigma2_eps", "gamma0", "C", "C_prior_only", "sigma2_gamma0"))
 def test_initialization_error_on_degenerate_start(small_plate, small_grid, small_spline,
-                                                  column, value, prior_only):
+                                                  column, value, prior_only, term):
     bad = initial_state(small_grid, small_spline)
     bad[column] = value
-    with pytest.raises(InitializationError):
+    with pytest.raises(InitializationError, match=f"non-finite {term} at the starting row"):
         run_chain(small_plate, config=TINY, initial=bad, prior_only=prior_only)
+
+
+def test_inverse_gamma_chain_starts_from_a_subnormal_variance(small_plate, small_grid,
+                                                               small_spline):
+    start = initial_state(small_grid, small_spline)
+    start[COLUMN["sigma2_gamma0"]] = 1e-320
+    # the first conjugate draw replaces the variance
+    priors = PriorSpec(variance_prior=InverseGammaPrior(3.0, 2.0))
+    chain = run_chain(small_plate, priors=priors, config=TINY, initial=start)
+    assert chain.scalar_series("sigma2_gamma0").min() > 1e-3
 
 
 def test_initial_row_is_checked_before_any_sweep(small_plate, small_grid, small_spline,

@@ -13,8 +13,7 @@ from combofit.simulate import reference_concentrations
 def _grid(logc1, logc2):
     logc1 = np.asarray(logc1, dtype=float)
     logc2 = np.asarray(logc2, dtype=float)
-    return LogConcGrid(logc1=logc1, logc2=logc2,
-                       zero_sub1=float(logc1[0]), zero_sub2=float(logc2[0]))
+    return LogConcGrid(logc1=logc1, logc2=logc2)
 
 
 # ---------------------------------------------------------------------------

@@ -130,15 +130,19 @@ def test_spec_for_grid_covers_axes(small_grid):
 
 def test_spec_validates_knot_count():
     good = _knot_ladder(0.0, 1.0, 6, 3)
+    # k1 and k2 follow from the knots; degree + 1 knots give no basis function
+    spec = SplineSpec(knots1=good[:-1], knots2=good)
+    assert (spec.k1, spec.k2) == (5, 6)
+    assert SplineSpec(knots1=good[:5], knots2=good).k1 == 1
     with pytest.raises(ValidationError):
-        SplineSpec(k1=6, k2=6, knots1=good[:-1], knots2=good)
+        SplineSpec(knots1=good[:4], knots2=good)
 
 
 def test_spec_validates_spacing():
     knots = _knot_ladder(0.0, 1.0, 6, 3).copy()
     knots[4] += 0.01
     with pytest.raises(ValidationError):
-        SplineSpec(k1=6, k2=6, knots1=knots, knots2=_knot_ladder(0.0, 1.0, 6, 3))
+        SplineSpec(knots1=knots, knots2=_knot_ladder(0.0, 1.0, 6, 3))
 
 
 def test_knot_ladder_needs_enough_bases():
