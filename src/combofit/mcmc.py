@@ -103,7 +103,8 @@ def _safe_exp(x: float) -> float:
 
 
 class AdaptiveState:
-    """Running proposal adaptation of one block.
+    """Running proposal adaptation of one block, and its count of accepted
+    proposals; for_dim builds the adapter of a block's dimension.
 
     Keeps the sums needed for the sample covariance of the block's transformed
     history and a Robbins-Monro-tuned scalar multiplier s. Before adapt_start
@@ -124,94 +125,113 @@ class AdaptiveState:
     """
 
     def __init__(self, dim, initial_scale, target, adapt_start):
-        self.dim = dim
-        self.initial_scale = float(initial_scale)
-        self.target = float(target)
-        self.adapt_start = int(adapt_start)
+        self.dim, self.initial_scale = dim, float(initial_scale)
+        self.target, self.adapt_start = float(target), int(adapt_start)
         self.log_s = math.log(2.38 ** 2 / dim)
-        self.count = 0
-        if dim == 1:
-            self.sum_t = 0.0
-            self.sum_tt = 0.0
-            self.step_sd = None
-        elif dim == 2:
-            self.sum_t = [0.0, 0.0]
-            self.sum_tt = [0.0, 0.0, 0.0]
-            self.chol = None
-        else:
-            self.batch = np.empty((REFRESH, dim))
-            self.sum_t = np.zeros(dim)
-            self.sum_tt = np.zeros((dim, dim))
-            self.jitter_eye = ADAPT_JITTER * np.eye(dim)
-            self.chol = None
+        self.count = self.accepted = 0
+
+    @staticmethod
+    def for_dim(dim, initial_scale, target, adapt_start):
+        kind = _ScalarAdapter if dim == 1 else _PairAdapter if dim == 2 else _BatchAdapter
+        return kind(dim, initial_scale, target, adapt_start)
+
+    def _adapted_scale(self, accept_prob, iteration):
+        """s after one Robbins-Monro step on log_s, or None before adaptation."""
+        if iteration <= self.adapt_start or self.count < 2:
+            return None
+        self.log_s = min(max(self.log_s + iteration ** (-RM_DECAY) * (accept_prob - self.target),
+                             -23.0), 14.0)
+        return math.exp(self.log_s)
+
+
+class _ScalarAdapter(AdaptiveState):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sum_t = self.sum_tt = 0.0
+        self.step_sd = self.initial_scale
 
     def propose_step(self, rng):
-        if self.dim == 1:
-            sd = self.initial_scale if self.step_sd is None else self.step_sd
-            return sd * rng.standard_normal()
-        z = rng.standard_normal(self.dim)
-        if self.chol is None:
-            return self.initial_scale * z
-        if self.dim == 2:
-            return self.chol @ z
-        return math.exp(0.5 * self.log_s) * (self.chol @ z)
+        return self.step_sd * rng.standard_normal()
 
     def observe(self, t, accept_prob, iteration):
         """Record the post-update value t and adapt after adapt_start."""
         self.count += 1
-        refresh = False
-        if self.dim == 1:
-            self.sum_t += t
-            self.sum_tt += t * t
-        elif self.dim == 2:
-            t0, t1 = t
-            self.sum_t[0] += t0
-            self.sum_t[1] += t1
-            self.sum_tt[0] += t0 * t0
-            self.sum_tt[1] += t0 * t1
-            self.sum_tt[2] += t1 * t1
-        else:
-            row = (self.count - 1) % REFRESH
-            self.batch[row] = t
-            refresh = row == REFRESH - 1
-            if refresh:
-                self.sum_t += self.batch.sum(axis=0)
-                self.sum_tt += self.batch.T @ self.batch
-        if iteration <= self.adapt_start or self.count < 2:
-            return
-        self.log_s += iteration ** (-RM_DECAY) * (accept_prob - self.target)
-        self.log_s = min(max(self.log_s, -23.0), 14.0)
-        s = math.exp(self.log_s)
-        n = self.count
-        if self.dim == 1:
+        self.sum_t += t
+        self.sum_tt += t * t
+        s = self._adapted_scale(accept_prob, iteration)
+        if s is not None:
+            n = self.count
             var = (self.sum_tt - self.sum_t * self.sum_t / n) / (n - 1)
             self.step_sd = math.sqrt(s * (max(var, 0.0) + ADAPT_JITTER))
-        elif self.dim == 2:
-            (m0, m1), (q00, q01, q11) = self.sum_t, self.sum_tt
-            a11 = ((q00 - m0 * m0 / n) / (n - 1) + ADAPT_JITTER) * s
-            a21 = ((q01 - m0 * m1 / n) / (n - 1) + 0.0) * s
-            a22 = ((q11 - m1 * m1 / n) / (n - 1) + ADAPT_JITTER) * s
-            # LAPACK's order: l21 = a21 * (1 / l11), l22 = sqrt(a22 - l21^2);
-            # a pivot that is not positive keeps the previous factor, as below
-            if a11 > 0.0:
-                l11 = math.sqrt(a11)
-                l21 = a21 * (1.0 / l11)
-                pivot = a22 - l21 * l21
-                if pivot > 0.0:
-                    self.chol = np.array(((l11, 0.0), (l21, math.sqrt(pivot))))
-        elif refresh:
-            # cov + jitter I, built in place
-            xi = self.sum_t[:, None] * self.sum_t
-            xi /= n
-            np.subtract(self.sum_tt, xi, out=xi)
-            xi /= n - 1
-            xi += self.jitter_eye
-            try:
-                self.chol = np.linalg.cholesky(xi)
-            except np.linalg.LinAlgError:
-                # Keep the previous factor; the running covariance can lose
-                # definiteness to rounding when the chain has barely moved.
-                pass
+
+
+class _PairAdapter(AdaptiveState):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sum_t, self.sum_tt, self.chol = [0.0, 0.0], [0.0, 0.0, 0.0], None
+
+    def propose_step(self, rng):
+        z = rng.standard_normal(2)
+        return self.initial_scale * z if self.chol is None else self.chol.dot(z)
+
+    def observe(self, t, accept_prob, iteration):
+        self.count += 1
+        t0, t1 = t
+        self.sum_t[0] += t0
+        self.sum_t[1] += t1
+        self.sum_tt[0] += t0 * t0
+        self.sum_tt[1] += t0 * t1
+        self.sum_tt[2] += t1 * t1
+        s = self._adapted_scale(accept_prob, iteration)
+        if s is None:
+            return
+        n, (m0, m1), (q00, q01, q11) = self.count, self.sum_t, self.sum_tt
+        a11 = ((q00 - m0 * m0 / n) / (n - 1) + ADAPT_JITTER) * s
+        a21 = ((q01 - m0 * m1 / n) / (n - 1) + 0.0) * s
+        a22 = ((q11 - m1 * m1 / n) / (n - 1) + ADAPT_JITTER) * s
+        # LAPACK's order: l21 = a21 * (1 / l11), l22 = sqrt(a22 - l21^2); a
+        # pivot that is not positive keeps the previous factor, as below
+        if a11 > 0.0:
+            l11 = math.sqrt(a11)
+            l21 = a21 * (1.0 / l11)
+            pivot = a22 - l21 * l21
+            if pivot > 0.0:
+                self.chol = np.array(((l11, 0.0), (l21, math.sqrt(pivot))))
+
+
+class _BatchAdapter(AdaptiveState):
+    def __init__(self, dim, *args):
+        super().__init__(dim, *args)
+        self.batch, self.jitter_eye = np.empty((REFRESH, dim)), ADAPT_JITTER * np.eye(dim)
+        self.sum_t, self.sum_tt, self.chol = np.zeros(dim), np.zeros((dim, dim)), None
+
+    def propose_step(self, rng):
+        z = rng.standard_normal(self.dim)
+        return (self.initial_scale * z if self.chol is None
+                else math.exp(0.5 * self.log_s) * self.chol.dot(z))
+
+    def observe(self, t, accept_prob, iteration):
+        self.count += 1
+        row = (self.count - 1) % REFRESH
+        self.batch[row] = t
+        if row == REFRESH - 1:
+            self.sum_t += self.batch.sum(axis=0)
+            self.sum_tt += self.batch.T @ self.batch
+        if self._adapted_scale(accept_prob, iteration) is None or row != REFRESH - 1:
+            return
+        # cov + jitter I, built in place
+        n = self.count
+        xi = self.sum_t[:, None] * self.sum_t
+        xi /= n
+        np.subtract(self.sum_tt, xi, out=xi)
+        xi /= n - 1
+        xi += self.jitter_eye
+        try:
+            self.chol = np.linalg.cholesky(xi)
+        except np.linalg.LinAlgError:
+            # Keep the previous factor; the running covariance can lose
+            # definiteness to rounding when the chain has barely moved.
+            pass
 
 
 def draw_inverse_gamma(rng, shape: float, rate: float) -> float:
@@ -310,7 +330,8 @@ class _Sampler:
         # without a likelihood does not compute
         self.n_obs = 0 if prior_only else data.n_obs
         y = data.viability
-        self.n_rep, self.s1, self.s2_total = data.n_rep, y.sum(axis=2), float(np.vdot(y, y))
+        self.n_rep, self.s2_total = data.n_rep, float(np.vdot(y, y))
+        self.s1 = y.sum(axis=2).ravel()
 
         if update_blocks is None:
             self.active = set(BLOCK_NAMES)
@@ -331,7 +352,7 @@ class _Sampler:
             self.quad = float(self.c @ (self.precision @ self.c))
 
         self.likelihood = not prior_only
-        self.ss, self.parts = 0.0, None
+        self.ss, self.parts, self.spare, self._fit = 0.0, None, None, None
         if self.likelihood:
             m1, m2, lam1, lam2, b1, b2, g0, g1, g2 = self.theta[:9]
             f1, f2 = curve_values(grid.logc1, m1, lam1), curve_values(grid.logc2, m2, lam2)
@@ -341,8 +362,10 @@ class _Sampler:
             slopes = np.array((b1, -b2)).reshape(2, 1, 1)
             numerators = link_numerators(p0, self.mask)
             denominators = link_denominators(bpred, slopes)
+            self.parts = [f1, f2, p0, numerators, bpred, slopes, denominators]
+            self.spare = [np.empty_like(part) for part in self.parts]
+            self._fit = self._fit_kernel()
             self.ss = self._fit(p0, numerators, denominators)
-            self.parts = (f1, f2, p0, numerators, bpred, slopes, denominators)
 
         hc = priors.variance_prior if isinstance(priors.variance_prior, HalfCauchyPrior) else None
         self.hc = hc
@@ -350,9 +373,9 @@ class _Sampler:
 
         # of the terms the updates price, only these can overflow on a checked
         # row; the Gamma and half-Cauchy terms stay finite there
-        th = self.theta
-        start_terms = {"log likelihood": self._loglik(self.ss, th[COLUMN["sigma2_eps"]]),
-                       "C prior quadratic form": self.quad}
+        th, s2 = self.theta, self.theta[COLUMN["sigma2_eps"]]
+        log_lik = -0.5 * self.n_obs * math.log(2.0 * math.pi * s2) - self.ss / (2.0 * s2)
+        start_terms = {"log likelihood": log_lik, "C prior quadratic form": self.quad}
         for var in VARIANCES[:-1]:
             phi = var.removeprefix("sigma2_")
             start_terms[f"{phi}^2 / {var}"] = th[COLUMN[phi]] * th[COLUMN[phi]] / th[COLUMN[var]]
@@ -371,53 +394,58 @@ class _Sampler:
                 continue  # conjugate draws need no tuning
             dim = {"b": 2, "C": spline.k1 * spline.k2}.get(name, 1)
             target = TARGET_ACCEPT_SCALAR if dim == 1 else TARGET_ACCEPT_MULTI
-            self.adapters[name] = AdaptiveState(
-                dim=dim, initial_scale=DEFAULT_PROPOSAL_SCALES[name], target=target,
-                adapt_start=config.adapt_start)
-        self.accepted = {name: 0 for name in self.adapters}
+            self.adapters[name] = AdaptiveState.for_dim(
+                dim, DEFAULT_PROPOSAL_SCALES[name], target, config.adapt_start)
 
     # -- numerics ----------------------------------------------------------
 
-    # parts, the grid state of a chain with a likelihood: (f1, f2, p0, the
-    # link's numerators, B, the slopes, the link's denominators). Each block
+    # parts, the grid state of a chain with a likelihood: [f1, f2, p0, the
+    # link's numerators, B, the slopes, the link's denominators]. Each block
     # update changes either p0 (m, lambda) or the denominators (b, gamma, C),
-    # so a proposal recomputes only that side of the link. Without a
-    # likelihood nothing on the grid enters an acceptance ratio: parts is
-    # None, no update touches the grid, B included, and ss is 0.0, the exact
-    # value the full computation gives when there is no data.
+    # so a proposal recomputes only that side of the link, into spare, which
+    # holds one more array of each part; on acceptance the moved parts and
+    # their spares swap places. Without a likelihood nothing on the grid
+    # enters an acceptance ratio: parts, spare and _fit are None, no update
+    # touches the grid, B included, and ss is 0.0, the exact value the full
+    # computation gives when there is no data.
 
-    def _link_moved(self, bpred, slopes):
-        """The residual sum of squares and the parts once B and the slopes move."""
-        f1, f2, p0, numerators = self.parts[:4]
-        denominators = link_denominators(bpred, slopes)
-        return (self._fit(p0, numerators, denominators),
-                (f1, f2, p0, numerators, bpred, slopes, denominators))
+    def _fit_kernel(self):
+        """fit(p0, numerators, denominators), the residual sum of squares of
+        the plate under p0 + Delta, with link_delta's quotients and their sum
+        written into scratch arrays of its own."""
+        quotient, p = np.empty_like(self.parts[6]), np.empty_like(self.parts[2])
+        (q0, q1), pf, n_rep, s1, s2_total = quotient, p.ravel(), self.n_rep, self.s1, self.s2_total
 
-    def _fit(self, p0, numerators, denominators):
-        """The residual sum of squares of the plate under p0 + Delta."""
-        p = p0 + link_delta(numerators, denominators)
-        return self.n_rep * float(np.vdot(p, p)) - 2.0 * float(np.vdot(p, self.s1)) + self.s2_total
+        def fit(p0, numerators, denominators):
+            np.divide(numerators, denominators, out=quotient)
+            np.add(np.add(q0, q1, out=p), p0, out=p)
+            return n_rep * float(pf.dot(pf)) - 2.0 * float(pf.dot(s1)) + s2_total
+        return fit
 
-    def _loglik(self, ss, s2eps):
-        if self.n_obs == 0:
-            return 0.0
-        return -0.5 * self.n_obs * math.log(2.0 * math.pi * s2eps) - ss / (2.0 * s2eps)
+    def _metropolis(self, name, moved=()):
+        """The Metropolis step of block name: a decision on log_a, counted on
+        the block's adapter, whose adaptation is fed the transformed value it
+        keeps, tc on acceptance and t otherwise. An acceptance swaps the parts
+        at the indices moved with their spares, which hold the proposal. A
+        non-finite log_a rejects without drawing a uniform."""
+        adapter, uniform = self.adapters[name], self.rng.random
+        observe, parts, spare = adapter.observe, self.parts, self.spare
 
-    def _step(self, name, log_a, t, tc, iteration):
-        """Metropolis decision on log_a for block name, counted, with the block's
-        adaptation fed the transformed value it keeps: tc on acceptance, t
-        otherwise. A non-finite log_a rejects without drawing a uniform."""
-        if not math.isfinite(log_a):
-            a, ok = 0.0, False
-        elif log_a >= 0.0:
-            a, ok = 1.0, True
-        else:
-            a = math.exp(log_a)
-            ok = self.rng.random() < a
-        if ok:
-            self.accepted[name] += 1
-        self.adapters[name].observe(tc if ok else t, a, iteration)
-        return ok
+        def step(log_a, t, tc, iteration):
+            if not math.isfinite(log_a):
+                a, ok = 0.0, False
+            elif log_a >= 0.0:
+                a, ok = 1.0, True
+            else:
+                a = math.exp(log_a)
+                ok = uniform() < a
+            if ok:
+                adapter.accepted += 1
+                for i in moved:
+                    parts[i], spare[i] = spare[i], parts[i]
+            observe(tc if ok else t, a, iteration)
+            return ok
+        return step
 
     # -- block updates -----------------------------------------------------
     # Each factory binds one block's constants (draws columns, adapter, prior
@@ -431,12 +459,13 @@ class _Sampler:
         and the link's denominators stay. m walks on its own scale under its
         N(0, sigma2_m) prior; lambda walks on the log scale, where its Gamma
         prior and the Jacobian give (cand/cur)^shape * exp(-rate * (cand - cur))."""
-        th, rng, step, fit, likelihood = (self.theta, self.rng, self._step, self._fit,
-                                          self.likelihood)
-        propose, drug, mask = self.adapters[name].propose_step, name[-1], self.mask
+        th, rng, fit, likelihood = self.theta, self.rng, self._fit, self.likelihood
+        parts, spare, drug, mask = self.parts, self.spare, name[-1], self.mask
         k, km, klam, eps = (COLUMN[name], COLUMN["m" + drug], COLUMN["lambda" + drug],
                             COLUMN["sigma2_eps"])
         first, axis = drug == "1", self.grid.logc1 if drug == "1" else self.grid.logc2
+        moved = (0 if first else 1, 2, 3) if likelihood else ()
+        step, propose = self._metropolis(name, moved), self.adapters[name].propose_step
         log_scale = name.startswith("lambda")
         prior = getattr(self.priors, name) if log_scale else None
         var = None if log_scale else COLUMN["sigma2_" + name]
@@ -448,7 +477,7 @@ class _Sampler:
                 tc = t + propose(rng)
                 cand = _safe_exp(tc)
                 if not (math.isfinite(cand) and cand > 0.0):
-                    step(name, -math.inf, t, tc, iteration)
+                    step(-math.inf, t, tc, iteration)
                     return
                 gain, cost = prior.shape * (tc - t), prior.rate * (cand - cur)
                 m, lam, kept = th[km], cand, math.log(cand)
@@ -457,25 +486,23 @@ class _Sampler:
                 cand = cur + propose(rng)
                 gain, cost = 0.0, (cand * cand - cur * cur) / (2.0 * th[var])
                 m, lam, kept = cand, th[klam], cand
-            ssc, parts = 0.0, None
+            ssc = 0.0
             if likelihood:
-                f1, f2, _, _, bpred, slopes, denominators = self.parts
-                f = curve_values(axis, m, lam)
-                f1, f2 = (f, f2) if first else (f1, f)
-                p0 = f1[:, None] * f2
-                numerators = link_numerators(p0, mask)
-                ssc = fit(p0, numerators, denominators)
-                parts = (f1, f2, p0, numerators, bpred, slopes, denominators)
-            if step(name, -(ssc - self.ss) / (2.0 * th[eps]) + gain - cost, t, kept, iteration):
+                f = curve_values(axis, m, lam, out=spare[moved[0]])
+                f1, f2 = (f, parts[1]) if first else (parts[0], f)
+                p0 = np.multiply(f1[:, None], f2, out=spare[2])
+                ssc = fit(p0, link_numerators(p0, mask, out=spare[3]), parts[6])
+            if step(-(ssc - self.ss) / (2.0 * th[eps]) + gain - cost, t, kept, iteration):
                 th[k] = cand
-                self.ss, self.parts = ssc, parts
+                self.ss = ssc
         return update
 
     def _b_update(self, name):
-        th, rng, step, moved, likelihood = (self.theta, self.rng, self._step, self._link_moved,
-                                            self.likelihood)
-        propose, prior1, prior2 = self.adapters[name].propose_step, self.priors.b1, self.priors.b2
+        th, rng, fit, likelihood = self.theta, self.rng, self._fit, self.likelihood
+        parts, spare, prior1, prior2 = self.parts, self.spare, self.priors.b1, self.priors.b2
         k1, k2, eps = COLUMN["b1"], COLUMN["b2"], COLUMN["sigma2_eps"]
+        step = self._metropolis(name, (5, 6) if likelihood else ())
+        propose = self.adapters[name].propose_step
 
         def update(iteration):
             b1, b2 = th[k1], th[k2]
@@ -484,56 +511,64 @@ class _Sampler:
             tc = (t[0] + d[0], t[1] + d[1])
             b1c, b2c = _safe_exp(tc[0]), _safe_exp(tc[1])
             if not (b1c > 0.0 and b2c > 0.0 and math.isfinite(b1c) and math.isfinite(b2c)):
-                step(name, -math.inf, t, tc, iteration)
+                step(-math.inf, t, tc, iteration)
                 return
-            ssc, parts = 0.0, None
+            ssc = 0.0
             if likelihood:
-                ssc, parts = moved(self.parts[4], np.array((b1c, -b2c)).reshape(2, 1, 1))
+                slopes = spare[5]
+                slopes[0, 0, 0], slopes[1, 0, 0] = b1c, -b2c
+                ssc = fit(parts[2], parts[3],
+                          link_denominators(parts[4], slopes, out=spare[6]))
             log_a = (-(ssc - self.ss) / (2.0 * th[eps])
                      + prior1.shape * (tc[0] - t[0]) - prior1.rate * (b1c - b1)
                      + prior2.shape * (tc[1] - t[1]) - prior2.rate * (b2c - b2))
-            if step(name, log_a, t, tc, iteration):
+            if step(log_a, t, tc, iteration):
                 th[k1], th[k2] = b1c, b2c
-                self.ss, self.parts = ssc, parts
+                self.ss = ssc
         return update
 
     def _gamma_update(self, name):
-        th, rng, step, moved, likelihood = (self.theta, self.rng, self._step, self._link_moved,
-                                            self.likelihood)
-        propose, shift = self.adapters[name].propose_step, self.shift[name]
+        th, rng, fit, likelihood = self.theta, self.rng, self._fit, self.likelihood
+        parts, spare, shift = self.parts, self.spare, self.shift[name]
         k, var, eps = COLUMN[name], COLUMN["sigma2_" + name], COLUMN["sigma2_eps"]
+        step = self._metropolis(name, (4, 6) if likelihood else ())
+        propose = self.adapters[name].propose_step
 
         def update(iteration):
             cur = th[k]
             d = propose(rng)
             cand = cur + d
-            ssc, parts = 0.0, None
+            ssc = 0.0
             if likelihood:
-                ssc, parts = moved(self.parts[4] + d * shift, self.parts[5])
+                bpred = np.add(np.multiply(shift, d, out=spare[4]), parts[4], out=spare[4])
+                ssc = fit(parts[2], parts[3],
+                          link_denominators(bpred, parts[5], out=spare[6]))
             log_a = (-(ssc - self.ss) / (2.0 * th[eps])
                      - (cand * cand - cur * cur) / (2.0 * th[var]))
-            if step(name, log_a, cur, cand, iteration):
+            if step(log_a, cur, cand, iteration):
                 th[k] = cand
-                self.ss, self.parts = ssc, parts
+                self.ss = ssc
         return update
 
     def _C_update(self, name):
-        th, rng, step, moved, likelihood = (self.theta, self.rng, self._step, self._link_moved,
-                                            self.likelihood)
-        propose, eps = self.adapters[name].propose_step, COLUMN["sigma2_eps"]
+        th, rng, fit, likelihood = self.theta, self.rng, self._fit, self.likelihood
+        parts, spare, eps = self.parts, self.spare, COLUMN["sigma2_eps"]
         design, precision, shape = self.design, self.precision, self.grid.shape
+        step = self._metropolis(name, (4, 6) if likelihood else ())
+        propose = self.adapters[name].propose_step
 
         def update(iteration):
             d = propose(rng)
             cc = self.c + d
-            ssc, parts = 0.0, None
+            ssc = 0.0
             if likelihood:
-                ssc, parts = moved(self.parts[4] + (design @ d).reshape(shape), self.parts[5])
-            quadc = float(cc @ (precision @ cc))
+                bpred = np.add(parts[4], design.dot(d).reshape(shape), out=spare[4])
+                ssc = fit(parts[2], parts[3],
+                          link_denominators(bpred, parts[5], out=spare[6]))
+            quadc = float(cc.dot(precision.dot(cc)))
             log_a = -(ssc - self.ss) / (2.0 * th[eps]) - 0.5 * (quadc - self.quad)
-            if step(name, log_a, self.c, cc, iteration):
-                self.c, self.quad = cc, quadc
-                self.ss, self.parts = ssc, parts
+            if step(log_a, self.c, cc, iteration):
+                self.c, self.quad, self.ss = cc, quadc, ssc
         return update
 
     def _variance_update(self, name):
@@ -552,7 +587,7 @@ class _Sampler:
                 sum_sq = self.ss if eps else th[phi] * th[phi]
                 th[k] = draw_inverse_gamma(rng, shape, rate + 0.5 * sum_sq)
             return draw
-        step, propose = self._step, self.adapters[name].propose_step
+        step, propose = self._metropolis(name), self.adapters[name].propose_step
         h2, jacobian = self.hc.scale * self.hc.scale, 1.0 - n_terms
 
         def update(iteration):
@@ -562,12 +597,12 @@ class _Sampler:
             tc = t + propose(rng)
             s2c = _safe_exp(2.0 * tc)
             if not (math.isfinite(s2c) and s2c > 0.0):
-                step(name, -math.inf, t, tc, iteration)
+                step(-math.inf, t, tc, iteration)
                 return
             log_a = (jacobian * (tc - t)
                      - 0.5 * sum_sq * (1.0 / s2c - 1.0 / s2)
                      + math.log(s2 + h2) - math.log(s2c + h2))
-            if step(name, log_a, t, tc, iteration):
+            if step(log_a, t, tc, iteration):
                 th[k] = s2c
         return update
 
@@ -607,7 +642,7 @@ class _Sampler:
     def _counts(self):
         """(accepted, proposed) of every adapted block so far; its adapter
         observes every proposal once."""
-        return {name: (self.accepted[name], adapter.count)
+        return {name: (adapter.accepted, adapter.count)
                 for name, adapter in self.adapters.items()}
 
 

@@ -23,6 +23,8 @@ LN10 = math.log(10.0)
 EXP_CLAMP = 700.0
 # Clamp for base-10 exponents inside the log-logistic curve.
 POW10_CLAMP = 300.0
+# 0-d array operands: the bits of the float constants at a lower numpy call cost
+_ONE, _LN10, _EXP_CLAMP = np.array(1.0), np.array(LN10), np.array(EXP_CLAMP)
 
 LINEAR_SCALES = ("log10", "natural")
 
@@ -110,24 +112,27 @@ class PriorSpec:
 # Curves and link
 
 
-def curve_values(logx, m, lam):
+def curve_values(logx, m, lam, out=None):
     """2-parameter log-logistic viability curve with asymptotes (0, 1),
-    unchecked; m and lam broadcast against logx.
+    unchecked; m and lam broadcast against logx. out, if given, receives it.
 
     f(logx) = 1 / (1 + 10^(lam * (logx - m))); m is the log10 EC50 and lam
     the (positive) slope, so f decreases from 1 toward 0 as logx grows.
 
     The exponent t = lam * (logx - m) is clamped to +-POW10_CLAMP. Float m and
-    lam with a 1-D logx skip the clamp when both ends of t lie inside the bound,
-    so such a logx must be sorted: t is then monotone and the clamp would
-    return it unchanged.
+    lam with a 1-D logx skip the clamp when both ends of t, computed in Python
+    floats with numpy's bits, lie inside the bound, so such a logx must be
+    sorted: t is then monotone and the clamp would return it unchanged.
     """
-    t = lam * (logx - m)
-    if not (isinstance(m, float) and isinstance(lam, float) and isinstance(t, np.ndarray)
-            and t.ndim == 1 and t.size
-            and abs(t[0]) <= POW10_CLAMP and abs(t[-1]) <= POW10_CLAMP):
-        t = _clamped(t, POW10_CLAMP)
-    return 1.0 / (1.0 + np.exp(LN10 * t))
+    if not (isinstance(m, float) and isinstance(lam, float) and isinstance(logx, np.ndarray)
+            and logx.ndim == 1 and logx.size
+            and abs(lam * (float(logx[0]) - m)) <= POW10_CLAMP
+            and abs(lam * (float(logx[-1]) - m)) <= POW10_CLAMP):
+        return np.divide(1.0, 1.0 + np.exp(LN10 * _clamped(lam * (logx - m), POW10_CLAMP)),
+                         out=out)
+    t = np.subtract(logx, m, out=out)
+    np.multiply(np.multiply(t, lam, out=t), _LN10, out=t)
+    return np.divide(_ONE, np.add(np.exp(t, out=t), _ONE, out=t), out=t)
 
 
 def _clamped(values, bound):
@@ -143,25 +148,24 @@ def _clamped(values, bound):
 _NUMERATOR_SHIFT = np.array((0.0, 1.0)).reshape(2, 1, 1)
 
 
-def link_numerators(p0, mask=None):
+def link_numerators(p0, mask=None, out=None):
     """-p0 (as 0.0 - p0, the same Delta) and 1 - p0 on the pair axis, times
     the border mask unless it is None, which zeroes Delta on the borders; p0
-    is (n1, n2) for one state or (..., 1, n1, n2) for many."""
-    numerators = np.subtract(_NUMERATOR_SHIFT, p0)
+    is (n1, n2) for one state or (..., 1, n1, n2) for many. out, if given,
+    receives them."""
+    numerators = np.subtract(_NUMERATOR_SHIFT, p0, out=out)
     if mask is not None:
         numerators *= mask
     return numerators
 
 
-def link_denominators(b_pred, slopes):
+def link_denominators(b_pred, slopes, out=None):
     """1 + exp(b1 B) and 1 + exp(-b2 B) on the pair axis, from slopes b1 and
-    -b2 on that axis. Only the upper clamp is applied: below -EXP_CLAMP both
-    give a denominator of exactly 1.0."""
-    d = b_pred * slopes
-    np.minimum(d, EXP_CLAMP, out=d)
-    np.exp(d, out=d)
-    d += 1.0
-    return d
+    -b2 on that axis, into out if given. Only the upper clamp is applied:
+    below -EXP_CLAMP both give a denominator of exactly 1.0."""
+    d = np.multiply(b_pred, slopes, out=out)
+    np.exp(np.minimum(d, _EXP_CLAMP, out=d), out=d)
+    return np.add(d, _ONE, out=d)
 
 
 def link_delta(numerators, denominators):

@@ -1,13 +1,15 @@
 import csv
+import tempfile
 from dataclasses import replace
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combofit import SimScenario, SurfaceGrid, ValidationError, sample_plate
+from combofit import PlateDataset, SimScenario, SurfaceGrid, ValidationError, sample_plate
 from combofit.io import (PLATE_HEADER, ingest_plate, read_json, read_samples_csv,
                          read_truth_csv, samples_header, write_json, write_plate_csv,
                          write_samples_csv, write_surface_csv, write_truth_csv)
@@ -48,6 +50,44 @@ def test_plate_round_trip_is_bit_exact(tmp_path, small_plate):
     np.testing.assert_array_equal(back.conc2, small_plate.conc2)
     np.testing.assert_array_equal(back.viability, small_plate.viability)
     assert back.drug_names == ("drug1", "drug2")
+
+
+# the extremes of float64 next to ordinary values: the smallest subnormal, the
+# smallest normal, +-1e308, the largest float and a negative zero
+_EDGE_FLOATS = (5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, -0.0)
+
+
+@st.composite
+def _plates(draw):
+    """A valid plate: 2-6 doses per axis, the zero (or -0.0) first and the
+    rest increasing and positive, 1-4 replicates, any finite viabilities."""
+    dose = st.one_of(st.floats(min_value=5e-324, max_value=1e308),
+                     st.sampled_from([x for x in _EDGE_FLOATS if x > 0.0]))
+
+    def axis():
+        doses = draw(st.lists(dose, min_size=1, max_size=5, unique=True))
+        return [draw(st.sampled_from((0.0, -0.0)))] + sorted(doses)
+
+    conc1, conc2, n_rep = axis(), axis(), draw(st.integers(1, 4))
+    size = len(conc1) * len(conc2) * n_rep
+    values = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(_EDGE_FLOATS)),
+                           min_size=size, max_size=size))
+    return PlateDataset(conc1=conc1, conc2=conc2,
+                        viability=np.reshape(values, (len(conc1), len(conc2), n_rep)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plates())
+def test_random_plates_round_trip_bit_for_bit(plate):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plate.csv"
+        write_plate_csv(path, plate)
+        back = ingest_plate(path)
+    for name in ("conc1", "conc2", "viability"):
+        got, want = getattr(back, name), getattr(plate, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_plate_write_is_deterministic(tmp_path, small_plate):

@@ -14,7 +14,8 @@ from combofit import (AdaptiveState, ChainConfig, HalfCauchyPrior, Initializatio
 from combofit.mcmc import (_REBUILD_BLOCK, ADAPT_JITTER, BLOCK_NAMES,
                            DEFAULT_PROPOSAL_SCALES, REFRESH, _Sampler, draw_inverse_gamma)
 from combofit.model import (COLUMN, DRAW_SCALARS, LINEAR_SCALES, N_SCALARS, POSITIVE_SCALARS,
-                            VARIANCES, SurfaceDesign, link_delta, surfaces)
+                            VARIANCES, SurfaceDesign, curve_values, link_delta,
+                            link_denominators, link_numerators, surfaces)
 from combofit.splines import basis_matrix, penalty_precision
 
 import reference  # perfbench's oracle, which imports no combofit
@@ -59,7 +60,7 @@ def test_config_validation():
 def _adapter(dim, **kwargs):
     defaults = dict(initial_scale=0.5, target=0.44, adapt_start=10)
     defaults.update(kwargs)
-    return AdaptiveState(dim=dim, **defaults)
+    return AdaptiveState.for_dim(dim, **defaults)
 
 
 def test_initial_proposal_uses_configured_scale():
@@ -420,13 +421,17 @@ def test_log_acceptance_ratio_is_the_log_posterior_difference(small_plate, small
     # minus that at the current row, plus the difference of the walk's log
     # Jacobian; the log posterior is the oracle's surfaces' summed observation
     # log densities plus _log_prior's scipy.stats densities
-    records, step = [], _Sampler._step
+    records, metropolis = [], _Sampler._metropolis
 
-    def recorded(self, name, log_a, t, tc, iteration):
-        records.append((name, log_a, t, tc, np.concatenate((self.theta, self.c))))
-        return step(self, name, log_a, t, tc, iteration)
+    def recorded(self, name, moved=()):
+        step = metropolis(self, name, moved)
 
-    monkeypatch.setattr(_Sampler, "_step", recorded)
+        def recording(log_a, t, tc, iteration):
+            records.append((name, log_a, t, tc, np.concatenate((self.theta, self.c))))
+            return step(log_a, t, tc, iteration)
+        return recording
+
+    monkeypatch.setattr(_Sampler, "_metropolis", recorded)
     priors = PriorSpec(variance_prior=variance_prior)
     config = ChainConfig(n_iter=200, burn_in=100, thin=10, adapt_start=50, seed=4)
     run_chain(small_plate, priors=priors, spline=small_spline, config=config)
@@ -504,6 +509,73 @@ def test_sampler_surfaces_match_the_kernel(small_plate, small_grid, small_spline
         np.testing.assert_allclose(sampler_p0, p0[0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(link_delta(numerators, denominators), delta[0],
                                    rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variance_prior, linear_scale, blocks", [
+    (HalfCauchyPrior(1.0), "log10", None),
+    (InverseGammaPrior(3.0, 2.0), "log10", None),
+    (HalfCauchyPrior(1.0), "natural", None),
+    (HalfCauchyPrior(1.0), "log10", ("C", "gamma1")),
+], ids=("half_cauchy", "inverse_gamma", "natural", "C_and_gamma1"))
+def test_proposal_buffers_never_alias_the_kept_state(small_plate, small_grid, small_spline,
+                                                     variance_prior, linear_scale, blocks,
+                                                     monkeypatch):
+    # a proposal is written into spare arrays that trade places with the
+    # parts it moves on acceptance. Before every Metropolis step (with the
+    # proposal already in the spares) and after the run, each part and ss
+    # equal a rebuild at the current row, bit for bit; B, which the sampler
+    # moves by increments, equals a from-scratch B to rounding. A rejection
+    # leaves the parts, the very arrays, and ss as they were.
+    design = SurfaceDesign.on_grid(small_grid, small_spline, linear_scale)
+    y = small_plate.viability
+
+    def check(sampler):
+        th = dict(zip(DRAW_SCALARS, sampler.theta))
+        bpred = sampler.parts[4]
+        f1 = curve_values(small_grid.logc1, th["m1"], th["lambda1"])
+        f2 = curve_values(small_grid.logc2, th["m2"], th["lambda2"])
+        p0 = f1[:, None] * f2
+        numerators = link_numerators(p0, small_grid.border_mask())
+        slopes = np.array((th["b1"], -th["b2"])).reshape(2, 1, 1)
+        rebuilt = (f1, f2, p0, numerators, bpred, slopes, link_denominators(bpred, slopes))
+        assert len(sampler.parts) == len(rebuilt)
+        for got, want in zip(sampler.parts, rebuilt):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        p = p0 + link_delta(numerators, rebuilt[-1])
+        assert sampler.ss == (small_plate.n_rep * float(np.vdot(p, p))
+                              - 2.0 * float(np.vdot(p, y.sum(axis=2))) + float(np.vdot(y, y)))
+        row = np.concatenate((sampler.theta, sampler.c))[None]
+        fresh = design.lift1 @ design.coefficients(row)[0] @ design.lift2.T
+        np.testing.assert_allclose(bpred, fresh, rtol=0.0,
+                                   atol=1e-12 * max(1.0, np.abs(fresh).max()))
+
+    outcomes, metropolis = {}, _Sampler._metropolis
+
+    def checked(self, name, moved=()):
+        step = metropolis(self, name, moved)
+
+        def checked_step(log_a, t, tc, iteration):
+            check(self)
+            arrays, values, ss = list(self.parts), [a.copy() for a in self.parts], self.ss
+            ok = step(log_a, t, tc, iteration)
+            outcomes.setdefault(name, set()).add(ok)
+            if not ok:
+                assert self.ss == ss
+                for part, array, value in zip(self.parts, arrays, values):
+                    assert part is array and part.tobytes() == value.tobytes()
+            return ok
+        return checked_step
+
+    monkeypatch.setattr(_Sampler, "_metropolis", checked)
+    priors = PriorSpec(variance_prior=variance_prior)
+    config = ChainConfig(n_iter=300, burn_in=150, thin=10, adapt_start=50, seed=8)
+    sampler = _Sampler(small_plate, priors, small_spline, config, linear_scale, blocks, False,
+                       None, 0)
+    sampler.run()
+    check(sampler)
+    # every block that moves the grid was both accepted and rejected
+    grid_blocks = set(BLOCK_NAMES[:9] if blocks is None else blocks)
+    assert all(outcomes[name] == {True, False} for name in grid_blocks)
 
 
 def _stored(chain, draws, index):
