@@ -8,6 +8,8 @@ produce byte-identical output.
 import csv
 import json
 import math
+import warnings
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +76,9 @@ def ingest_plate(path) -> PlateDataset:
             raise ValidationError(f"line {line_no}: expected 4 fields, got {len(row)}")
         c1 = _parse_float(row[0], line_no, "drug1_conc")
         c2 = _parse_float(row[1], line_no, "drug2_conc")
+        for value, text, column in ((c1, row[0], "drug1_conc"), (c2, row[1], "drug2_conc")):
+            if value < 0.0:
+                raise ValidationError(f"line {line_no}: negative {column} value {text!r}")
         try:
             rep = int(row[2])
         except ValueError:
@@ -211,16 +216,18 @@ def write_samples_csv(path, posterior):
 
 
 def read_samples_csv(path) -> Samples:
-    """Read samples back, one row at a time, into a preallocated draws array.
+    """Read samples back, the rows parsed by one np.loadtxt call into an int64
+    chain, an int64 sample and float64 draws.
 
+    Like loadtxt, a row takes no quoted cells, no underscores in numbers and
+    no float text in the chain and sample columns. A row loadtxt rejects is
+    named by a scan of the lines (_samples_fault).
     Every row must lie inside the model's domain (model.invalid_entry).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            n_lines = sum(1 for _ in fh)
-            fh.seek(0)
-            reader = csv.reader(fh)
-            header = [cell.strip().lstrip("\ufeff") for cell in next(reader, [])]
+        with open(path, encoding="utf-8") as fh:
+            header = [cell.strip().lstrip("\ufeff")
+                      for cell in next(csv.reader([fh.readline()]), [])]
             if not header:
                 raise ValidationError(f"{path}: empty file")
             coeff_cols = [name for name in header if name.startswith("C_")]
@@ -235,37 +242,72 @@ def read_samples_csv(path) -> Samples:
             k2 = max(j for _, j in indices) + 1
             if header != samples_header(k1, k2):
                 raise ValidationError(f"{path}: unexpected samples header")
-            chain = np.empty(n_lines, dtype=np.int64)
-            lines = np.empty(n_lines, dtype=np.int64)
-            draws = np.empty((n_lines, len(header) - 2))
-            n = 0
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValidationError(f"{path} line {line_no}: ragged row")
-                try:
-                    chain[n] = int(row[0])
-                except ValueError:
-                    raise ValidationError(f"{path} line {line_no}: bad chain index") from None
-                try:
-                    draws[n] = [float(cell) for cell in row[2:]]
-                except ValueError:
-                    for name, cell in zip(header[2:], row[2:]):
-                        _parse_float(cell, line_no, name)
-                lines[n] = line_no
-                n += 1
+            dtype = np.dtype([("chain", np.int64), ("sample", np.int64),
+                              ("draws", np.float64, (len(header) - 2,))])
+            try:
+                rows = _load_rows(fh, dtype)
+            except ValueError as exc:
+                raise (_samples_fault(path, header)
+                       or ValidationError(f"{path}: {exc}")) from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    if not n:
+    if not rows.size:
         raise ValidationError(f"{path}: no samples")
-    draws = draws[:n]
+    draws = np.ascontiguousarray(rows["draws"])
     invalid = invalid_entry(draws)
     if invalid is not None:
         row, col, need = invalid
-        raise ValidationError(f"{path} line {lines[row]}: {header[2 + col]} must be {need}, "
+        line_no = next(islice(_data_lines(path), row, None))[0]
+        raise ValidationError(f"{path} line {line_no}: {header[2 + col]} must be {need}, "
                               f"got {draws[row, col]!r}")
-    return Samples(chain=chain[:n], draws=draws, coeff_shape=(k1, k2))
+    return Samples(chain=np.ascontiguousarray(rows["chain"]), draws=draws,
+                   coeff_shape=(k1, k2))
+
+
+def _load_rows(lines, dtype):
+    """np.loadtxt of comma-separated lines, without comments or quoting. Input
+    without rows gives an empty array, and float text in an integer field
+    raises ValueError also on numpy versions that only warn about it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _data_lines(path):
+    """(line number, line) of each nonempty line after the header, the lines
+    that loadtxt parses."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line
+
+
+def _samples_fault(path, header):
+    """A ValidationError naming the first line of path that loadtxt rejects,
+    or None if none is found: a ragged row, a bad chain or sample index, or a
+    non-numeric draw. Each cell is parsed by loadtxt itself, so the scan
+    rejects what the read rejects."""
+    def parses(cell, dtype):
+        try:
+            return _load_rows([cell], dtype).size == 1
+        except ValueError:
+            return False
+
+    for line_no, line in _data_lines(path):
+        row = line.split(",")
+        if len(row) != len(header):
+            return ValidationError(f"{path} line {line_no}: ragged row")
+        for cell, what in zip(row[:2], ("chain", "sample")):
+            if not parses(cell, np.int64):
+                return ValidationError(f"{path} line {line_no}: bad {what} index")
+        for name, cell in zip(header[2:], row[2:]):
+            if not parses(cell, np.float64):
+                return ValidationError(
+                    f"{path} line {line_no}: non-numeric {name} value {cell!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------

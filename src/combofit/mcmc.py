@@ -26,8 +26,8 @@ import numpy as np
 from .data import LogConcGrid, PlateDataset
 from .errors import InitializationError, ValidationError
 from .model import (COLUMN, EXP_CLAMP, N_SCALARS, VARIANCES, HalfCauchyPrior, PriorSpec,
-                    SurfaceDesign, check_row, curve_values, initial_state, link_delta,
-                    link_denominators, link_numerators, observation_log_densities, surfaces)
+                    SurfaceDesign, check_row, curve_values, initial_state, link_denominators,
+                    link_numerators, observation_log_densities, on_pairs, surfaces)
 from .splines import SplineSpec, penalty_precision
 
 BLOCK_NAMES = (
@@ -315,16 +315,20 @@ class _Sampler:
         self.chain_index = chain_index
 
         # basis1 @ C @ basis2.T and sum(prec2 * (C.T @ prec1 @ C)) as one design
-        # and one precision acting on c, the coefficients C raveled row-major,
-        # and what a unit step of each gamma adds to the predictor B
+        # and one precision acting on c, the coefficients C raveled row-major.
+        # Every other grid operand is on the link's pair layout (model.on_pairs),
+        # so no ufunc of an update broadcasts: the two log-dose axes, the
+        # numerators' shift and border mask, and what a unit step of each gamma
+        # adds to the predictor B
         surface = SurfaceDesign.on_grid(grid, spline, linear_scale)
+        shape = grid.shape
         self.design = np.kron(surface.lift1[:, :spline.k1], surface.lift2[:, :spline.k2])
         self.precision = np.kron(penalty_precision(spline.k1, spline.penalty_ridge),
                                  penalty_precision(spline.k2, spline.penalty_ridge))
-        self.shift = {name: np.outer(surface.lift1[:, i], surface.lift2[:, j])
+        self.axes = on_pairs(shape, grid.logc1[:, None]), on_pairs(shape, grid.logc2)
+        self.numerator_shift, self.mask = on_pairs(shape, 0.0, 1.0), on_pairs(shape, surface.mask)
+        self.shift = {name: on_pairs(shape, np.outer(surface.lift1[:, i], surface.lift2[:, j]))
                       for name, (i, j) in surface.gamma_cells.items()}
-        # the border mask once per numerator, so masking needs no broadcast
-        self.mask = np.stack((surface.mask,) * 2)
 
         # the sums of the data enter only the sum of squares, which a chain
         # without a likelihood does not compute
@@ -355,12 +359,13 @@ class _Sampler:
         self.ss, self.parts, self.spare, self._fit = 0.0, None, None, None
         if self.likelihood:
             m1, m2, lam1, lam2, b1, b2, g0, g1, g2 = self.theta[:9]
-            f1, f2 = curve_values(grid.logc1, m1, lam1), curve_values(grid.logc2, m2, lam2)
-            p0 = f1[:, None] * f2
+            f1, f2 = curve_values(self.axes[0], m1, lam1), curve_values(self.axes[1], m2, lam2)
+            p0 = f1 * f2
             bpred = (g0 * self.shift["gamma0"] + g1 * self.shift["gamma1"]
-                     + g2 * self.shift["gamma2"] + (self.design @ self.c).reshape(grid.shape))
-            slopes = np.array((b1, -b2)).reshape(2, 1, 1)
-            numerators = link_numerators(p0, self.mask)
+                     + g2 * self.shift["gamma2"]
+                     + on_pairs(shape, (self.design @ self.c).reshape(shape)))
+            slopes = on_pairs(shape, b1, -b2)
+            numerators = link_numerators(p0, self.mask, shift=self.numerator_shift)
             denominators = link_denominators(bpred, slopes)
             self.parts = [f1, f2, p0, numerators, bpred, slopes, denominators]
             self.spare = [np.empty_like(part) for part in self.parts]
@@ -400,7 +405,9 @@ class _Sampler:
     # -- numerics ----------------------------------------------------------
 
     # parts, the grid state of a chain with a likelihood: [f1, f2, p0, the
-    # link's numerators, B, the slopes, the link's denominators]. Each block
+    # link's numerators, B, the slopes, the link's denominators], each on the
+    # pair layout (2, n1, n2). f1, f2, p0 and B hold the same values on both
+    # planes; the slopes hold b1 on the first and -b2 on the second. Each block
     # update changes either p0 (m, lambda) or the denominators (b, gamma, C),
     # so a proposal recomputes only that side of the link, into spare, which
     # holds one more array of each part; on acceptance the moved parts and
@@ -413,12 +420,12 @@ class _Sampler:
         """fit(p0, numerators, denominators), the residual sum of squares of
         the plate under p0 + Delta, with link_delta's quotients and their sum
         written into scratch arrays of its own."""
-        quotient, p = np.empty_like(self.parts[6]), np.empty_like(self.parts[2])
+        quotient, p = np.empty_like(self.parts[6]), np.empty(self.grid.shape)
         (q0, q1), pf, n_rep, s1, s2_total = quotient, p.ravel(), self.n_rep, self.s1, self.s2_total
 
         def fit(p0, numerators, denominators):
             np.divide(numerators, denominators, out=quotient)
-            np.add(np.add(q0, q1, out=p), p0, out=p)
+            np.add(np.add(q0, q1, out=p), p0[0], out=p)
             return n_rep * float(pf.dot(pf)) - 2.0 * float(pf.dot(s1)) + s2_total
         return fit
 
@@ -463,7 +470,8 @@ class _Sampler:
         parts, spare, drug, mask = self.parts, self.spare, name[-1], self.mask
         k, km, klam, eps = (COLUMN[name], COLUMN["m" + drug], COLUMN["lambda" + drug],
                             COLUMN["sigma2_eps"])
-        first, axis = drug == "1", self.grid.logc1 if drug == "1" else self.grid.logc2
+        first, shift = drug == "1", self.numerator_shift
+        axis = self.axes[0 if first else 1]
         moved = (0 if first else 1, 2, 3) if likelihood else ()
         step, propose = self._metropolis(name, moved), self.adapters[name].propose_step
         log_scale = name.startswith("lambda")
@@ -490,8 +498,8 @@ class _Sampler:
             if likelihood:
                 f = curve_values(axis, m, lam, out=spare[moved[0]])
                 f1, f2 = (f, parts[1]) if first else (parts[0], f)
-                p0 = np.multiply(f1[:, None], f2, out=spare[2])
-                ssc = fit(p0, link_numerators(p0, mask, out=spare[3]), parts[6])
+                p0 = np.multiply(f1, f2, out=spare[2])
+                ssc = fit(p0, link_numerators(p0, mask, spare[3], shift), parts[6])
             if step(-(ssc - self.ss) / (2.0 * th[eps]) + gain - cost, t, kept, iteration):
                 th[k] = cand
                 self.ss = ssc
@@ -503,6 +511,9 @@ class _Sampler:
         k1, k2, eps = COLUMN["b1"], COLUMN["b2"], COLUMN["sigma2_eps"]
         step = self._metropolis(name, (5, 6) if likelihood else ())
         propose = self.adapters[name].propose_step
+        # the two planes of each slopes array, bound once: the kept and the
+        # spare array trade places on acceptance
+        planes = {id(a): tuple(a) for a in (parts[5], spare[5])} if likelihood else None
 
         def update(iteration):
             b1, b2 = th[k1], th[k2]
@@ -516,7 +527,9 @@ class _Sampler:
             ssc = 0.0
             if likelihood:
                 slopes = spare[5]
-                slopes[0, 0, 0], slopes[1, 0, 0] = b1c, -b2c
+                first, second = planes[id(slopes)]
+                first.fill(b1c)
+                second.fill(-b2c)
                 ssc = fit(parts[2], parts[3],
                           link_denominators(parts[4], slopes, out=spare[6]))
             log_a = (-(ssc - self.ss) / (2.0 * th[eps])
@@ -553,7 +566,11 @@ class _Sampler:
     def _C_update(self, name):
         th, rng, fit, likelihood = self.theta, self.rng, self._fit, self.likelihood
         parts, spare, eps = self.parts, self.spare, COLUMN["sigma2_eps"]
-        design, precision, shape = self.design, self.precision, self.grid.shape
+        design, precision = self.design, self.precision
+        # design.dot(d) goes into the first plane of moves and is copied to the
+        # second: a design stacked for both planes gives other gemv bits
+        moves = on_pairs(self.grid.shape, 0.0)
+        move0, move1 = moves.reshape(2, -1)
         step = self._metropolis(name, (4, 6) if likelihood else ())
         propose = self.adapters[name].propose_step
 
@@ -562,7 +579,9 @@ class _Sampler:
             cc = self.c + d
             ssc = 0.0
             if likelihood:
-                bpred = np.add(parts[4], design.dot(d).reshape(shape), out=spare[4])
+                np.dot(design, d, out=move0)
+                np.copyto(move1, move0)
+                bpred = np.add(parts[4], moves, out=spare[4])
                 ssc = fit(parts[2], parts[3],
                           link_denominators(bpred, parts[5], out=spare[6]))
             quadc = float(cc.dot(precision.dot(cc)))

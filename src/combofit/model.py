@@ -120,14 +120,16 @@ def curve_values(logx, m, lam, out=None):
     the (positive) slope, so f decreases from 1 toward 0 as logx grows.
 
     The exponent t = lam * (logx - m) is clamped to +-POW10_CLAMP. Float m and
-    lam with a 1-D logx skip the clamp when both ends of t, computed in Python
-    floats with numpy's bits, lie inside the bound, so such a logx must be
-    sorted: t is then monotone and the clamp would return it unchanged.
+    lam skip the clamp when both ends of t, computed in Python floats with
+    numpy's bits, lie inside the bound, for a 1-D logx, which must then be
+    sorted, or a 3-D one, which must be a sorted axis laid out on the pair
+    grid (on_pairs): t is then monotone between its first and last entries,
+    and the clamp would return it unchanged.
     """
     if not (isinstance(m, float) and isinstance(lam, float) and isinstance(logx, np.ndarray)
-            and logx.ndim == 1 and logx.size
-            and abs(lam * (float(logx[0]) - m)) <= POW10_CLAMP
-            and abs(lam * (float(logx[-1]) - m)) <= POW10_CLAMP):
+            and logx.ndim in (1, 3) and logx.size
+            and abs(lam * (logx.item(0) - m)) <= POW10_CLAMP
+            and abs(lam * (logx.item(-1) - m)) <= POW10_CLAMP):
         return np.divide(1.0, 1.0 + np.exp(LN10 * _clamped(lam * (logx - m), POW10_CLAMP)),
                          out=out)
     t = np.subtract(logx, m, out=out)
@@ -143,17 +145,34 @@ def _clamped(values, bound):
 # The bounded interaction link Delta = -p0 / (1 + exp(b1 B)) + (1 - p0) /
 # (1 + exp(-b2 B)) has range (-p0, 1 - p0); with b1 = b2 = b, p0 + Delta is the
 # logistic 1 / (1 + exp(-b B)). It is kept factored, both sides stacked on a
-# pair axis before the grid axes: the numerators depend on p0 only, the
-# denominators on B and the slopes (b1, -b2) only.
-_NUMERATOR_SHIFT = np.array((0.0, 1.0)).reshape(2, 1, 1)
+# pair axis in front of the grid axes, (2, n1, n2) for one state and
+# (2, n, n1, n2) for a stack of draws, so that each side is one contiguous
+# block: the numerators depend on p0 only, the denominators on B and the
+# slopes (b1, -b2) only.
+_NUMERATOR_SHIFT = np.array((0.0, 1.0))
 
 
-def link_numerators(p0, mask=None, out=None):
+def on_pairs(shape, first, second=None):
+    """A (2,) + shape array on the pair layout: first on the first plane and
+    second (first if None) on the second, each broadcast to shape. Operands
+    laid out this way have the shape of the link's arrays, so no ufunc
+    between them broadcasts."""
+    pairs = np.empty((2, *shape))
+    pairs[0] = first
+    pairs[1] = first if second is None else second
+    return pairs
+
+
+def link_numerators(p0, mask=None, out=None, shift=None):
     """-p0 (as 0.0 - p0, the same Delta) and 1 - p0 on the pair axis, times
-    the border mask unless it is None, which zeroes Delta on the borders; p0
-    is (n1, n2) for one state or (..., 1, n1, n2) for many. out, if given,
-    receives them."""
-    numerators = np.subtract(_NUMERATOR_SHIFT, p0, out=out)
+    the border mask unless it is None, which zeroes Delta on the borders. p0
+    is (n1, n2) for one state or (n, n1, n2) for many and gains the pair axis
+    in front; or, with shift the (0, 1) shift on the pair layout of one state
+    (on_pairs), p0 and mask are on that layout too. out, if given, receives
+    them."""
+    if shift is None:
+        shift = _NUMERATOR_SHIFT.reshape((2,) + (1,) * p0.ndim)
+    numerators = np.subtract(shift, p0, out=out)
     if mask is not None:
         numerators *= mask
     return numerators
@@ -171,7 +190,7 @@ def link_denominators(b_pred, slopes, out=None):
 def link_delta(numerators, denominators):
     """Delta, the sum of the two quotients over the pair axis."""
     terms = numerators / denominators
-    return terms[..., 0, :, :] + terms[..., 1, :, :]
+    return terms[0] + terms[1]
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +263,8 @@ def surfaces(draws: np.ndarray, design: SurfaceDesign):
     p0 = (curve_values(design.axis1, m1, lam1)[:, :, None]
           * curve_values(design.axis2, m2, lam2)[:, None, :])
     b_pred = design.lift1 @ design.coefficients(draws) @ design.lift2.T
-    slopes = np.stack((b1, -b2), axis=1)
-    delta = link_delta(link_numerators(p0[:, None], design.mask),
-                       link_denominators(b_pred[:, None], slopes))
+    delta = link_delta(link_numerators(p0, design.mask),
+                       link_denominators(b_pred, np.stack((b1, -b2))))
     return p0, delta
 
 
@@ -254,8 +272,14 @@ def summed_mean_surface(draws: np.ndarray, design: SurfaceDesign, total=None) ->
     """Sum over the rows of draws of the unmasked mean surface p0 + g(B),
     added in row order to total (zeros if None), which is returned.
 
-    Uses p0 + g(B) = p0 s(b1 B) + (1 - p0) s(b2 B), s the logistic function,
-    one draw at a time through reused buffers.
+    Uses p0 + g(B) = p0 s(b1 B) + (1 - p0) s(b2 B), s the logistic function
+    1 / (1 + exp(-b B)), one draw at a time, with no broadcast:
+    - both logistics of a draw go through one buffer on the pair layout;
+    - exp only overflows from above, so its argument is clamped to
+      EXP_CLAMP, unless both slopes are positive and -b min(B) lies within
+      it: rounding is monotone, so that product is the largest argument;
+    - p0 is the rank-1 matrix product of the two curves, each entry a single
+      product, so the outer product's bits at about half its cost.
     """
     m1, lam1, m2, lam2 = _columns(draws, "m1", "lambda1", "m2", "lambda2")
     f1, f2 = curve_values(design.axis1, m1, lam1), curve_values(design.axis2, m2, lam2)
@@ -263,25 +287,23 @@ def summed_mean_surface(draws: np.ndarray, design: SurfaceDesign, total=None) ->
     lift2_t = np.ascontiguousarray(design.lift2.T)
     if total is None:
         total = np.zeros((design.axis1.size, design.axis2.size))
-    pred, s1, p0 = np.empty_like(total), np.empty_like(total), np.empty_like(total)
+    pred, p0, logistic = np.empty_like(total), np.empty_like(total), on_pairs(total.shape, 0.0)
+    s1, s2 = logistic
     for s, (b1, b2) in enumerate(draws[:, [COLUMN["b1"], COLUMN["b2"]]].tolist()):
         np.matmul(design.lift1 @ coef[s], lift2_t, out=pred)
-        _logistic(b1, pred, out=s1)
-        _logistic(b2, pred, out=pred)
-        s1 -= pred
-        s1 *= np.outer(f1[s], f2[s], out=p0)
-        total += pred
+        np.multiply(pred, -b1, out=s1)
+        np.multiply(pred, -b2, out=s2)
+        low = float(pred.min())
+        if not (b1 > 0.0 and b2 > 0.0 and -b1 * low <= EXP_CLAMP and -b2 * low <= EXP_CLAMP):
+            np.minimum(logistic, _EXP_CLAMP, out=logistic)
+        np.exp(logistic, out=logistic)
+        logistic += _ONE
+        np.reciprocal(logistic, out=logistic)
+        s1 -= s2
+        s1 *= np.dot(f1[s, :, None], f2[s, None], out=p0)
+        total += s2
         total += s1
     return total
-
-
-def _logistic(slope, values, out):
-    """1 / (1 + exp(-slope * values)); exp only overflows from above."""
-    np.multiply(values, -slope, out=out)
-    np.minimum(out, EXP_CLAMP, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ def test_ingest_error_paths(tmp_path):
     expect(PLATE_2X2 + "1.0,2.5,1,0.34\n", "duplicate")
     expect(",".join(PLATE_HEADER) + "\n1.0,2.0,1,0.5\n2.0,2.0,1,0.4\n"
            "1.0,4.0,1,0.3\n2.0,4.0,1,0.2\n", "zero dose")
+    # a negative dose is named with its line, not taken for a missing zero
+    expect(",".join(PLATE_HEADER) + "\n" + "".join(
+        f"{c1},{c2},1,0.5\n" for c1 in ("-1.0", "0.0", "1.0") for c2 in ("0.0", "2.0")),
+        "line 2: negative drug1_conc value '-1.0'")
+    expect(PLATE_2X2.replace("0.0,2.5,1", "0.0,-2.5,1", 1), "negative drug2_conc value '-2.5'")
     with pytest.raises(ValidationError) as err:
         ingest_plate(tmp_path / "not_there.csv")
     assert "cannot read" in str(err.value)
@@ -295,6 +300,30 @@ def test_samples_error_paths(tmp_path, small_chain):
     expect("sigma2_gamma0", "0.0", "sigma2_gamma0 must be finite and positive")
     expect("b2", "-1.5", "b2 must be finite and positive")
     expect("chain", "x", "bad chain index")
+    # loadtxt takes no quoted cell, no underscore in a number and no
+    # non-integer sample; each is named with its line
+    expect("m1", '"0.5"', "non-numeric m1 value")
+    expect("C_0_1", "1_0", "non-numeric C_0_1 value '1_0'")
+    expect("chain", "1_0", "bad chain index")
+    expect("sample", "1.5", "bad sample index")
+    # the line scan parses each cell as loadtxt does: a digit that float()
+    # takes and loadtxt does not, and an index past int64, are named too
+    expect("m2", "\u0661", "non-numeric m2 value")
+    expect("chain", "99999999999999999999", "bad chain index")
+
+
+@pytest.mark.filterwarnings("default::DeprecationWarning")
+@pytest.mark.parametrize("text", ["1.5", "1.0", "1e3", "nan"])
+def test_float_text_in_the_chain_column_is_rejected_under_default_warnings(
+        tmp_path, small_chain, text):
+    # combofit summarize runs under Python's default warning filters, not
+    # the test suite's DeprecationWarning-as-error
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, small_chain)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], text + lines[1][1:]] + lines[2:]) + "\n")
+    with pytest.raises(ValidationError, match="line 2: bad chain index"):
+        read_samples_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -506,7 +506,7 @@ def test_sampler_surfaces_match_the_kernel(small_plate, small_grid, small_spline
         p0, delta = surfaces(last, design)
         assert np.abs(delta).max() > 1e-3
         _, _, sampler_p0, numerators, _, _, denominators = sampler.parts
-        np.testing.assert_allclose(sampler_p0, p0[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sampler_p0[0], p0[0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(link_delta(numerators, denominators), delta[0],
                                    rtol=0.0, atol=1e-12)
 
@@ -525,19 +525,29 @@ def test_proposal_buffers_never_alias_the_kept_state(small_plate, small_grid, sm
     # proposal already in the spares) and after the run, each part and ss
     # equal a rebuild at the current row, bit for bit; B, which the sampler
     # moves by increments, equals a from-scratch B to rounding. A rejection
-    # leaves the parts, the very arrays, and ss as they were.
+    # leaves the parts, the very arrays, and ss as they were. Every part is
+    # on the pair layout: the two planes of f1, f2, p0 and B are equal, and
+    # the slopes hold b1 on every cell of the first and -b2 of the second.
     design = SurfaceDesign.on_grid(small_grid, small_spline, linear_scale)
     y = small_plate.viability
+    shape = (2, *small_grid.shape)
 
     def check(sampler):
         th = dict(zip(DRAW_SCALARS, sampler.theta))
-        bpred = sampler.parts[4]
+        for index in (0, 1, 2, 4):
+            first, second = sampler.parts[index]
+            assert first.tobytes() == second.tobytes()
+        slopes = sampler.parts[5]
+        assert np.all(slopes[0] == th["b1"]) and np.all(slopes[1] == -th["b2"])
+        bpred = sampler.parts[4][0]
         f1 = curve_values(small_grid.logc1, th["m1"], th["lambda1"])
         f2 = curve_values(small_grid.logc2, th["m2"], th["lambda2"])
         p0 = f1[:, None] * f2
         numerators = link_numerators(p0, small_grid.border_mask())
         slopes = np.array((th["b1"], -th["b2"])).reshape(2, 1, 1)
-        rebuilt = (f1, f2, p0, numerators, bpred, slopes, link_denominators(bpred, slopes))
+        rebuilt = [np.broadcast_to(part, shape) for part in
+                   (f1[:, None], f2, p0, numerators, bpred, slopes,
+                    link_denominators(bpred, slopes))]
         assert len(sampler.parts) == len(rebuilt)
         for got, want in zip(sampler.parts, rebuilt):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

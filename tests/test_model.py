@@ -90,6 +90,25 @@ def test_curve_float_path_equals_array_path(m, lam, skipped, monkeypatch):
         assert curve_values(logx, m, lam).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("m, lam", [(0.3, 1.7), (0.0, 150.0), (-1.0, 120.0), (1.0, 120.0),
+                                    (0.3, -2.5), (-0.5, -200.0)])
+def test_curve_on_the_pair_layout_has_the_axis_bits(m, lam, monkeypatch):
+    # an axis laid out on the pair grid takes the path its sorted axis takes,
+    # with the same bits on every cell of both planes
+    axis1, axis2 = np.linspace(-2.0, 2.0, 11), np.linspace(-1.5, 2.5, 7)
+    shape = (axis1.size, axis2.size)
+    clamped, clamp = [], model._clamped
+    monkeypatch.setattr(model, "_clamped", lambda t, bound: clamped.append(t) or clamp(t, bound))
+    for axis, values in ((axis1, axis1[:, None]), (axis2, axis2)):
+        before = len(clamped)
+        want = curve_values(axis, m, lam)
+        on_axis = len(clamped) - before
+        got = curve_values(model.on_pairs(shape, values), m, lam)
+        assert len(clamped) - before - on_axis == on_axis
+        want = np.broadcast_to(want[:, None] if axis is axis1 else want, (2, *shape))
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Interaction link
 
@@ -277,6 +296,53 @@ def test_batched_log_densities_and_fine_sum_match_per_draw(posterior):
     p0_fine, g_fine = surfaces(draws, design)
     np.testing.assert_allclose(summed_mean_surface(draws, design),
                                (p0_fine + g_fine).sum(axis=0), rtol=0.0, atol=1e-12)
+
+
+def _two_logistic_mean_surface(draws, design):
+    """The fine-grid kernel as it stood before the pair layout, the oracle of
+    summed_mean_surface: one logistic per slope, each clamped, and p0 as the
+    outer product of the two curves."""
+    def logistic(slope, values, out):
+        np.multiply(values, -slope, out=out)
+        np.minimum(out, model.EXP_CLAMP, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
+
+    m1, lam1, m2, lam2 = (draws[:, COLUMN[name]].reshape(-1, 1)
+                          for name in ("m1", "lambda1", "m2", "lambda2"))
+    f1, f2 = curve_values(design.axis1, m1, lam1), curve_values(design.axis2, m2, lam2)
+    coef = design.coefficients(draws)
+    lift2_t = np.ascontiguousarray(design.lift2.T)
+    total = np.zeros((design.axis1.size, design.axis2.size))
+    pred, s1, p0 = np.empty_like(total), np.empty_like(total), np.empty_like(total)
+    for s, (b1, b2) in enumerate(draws[:, [COLUMN["b1"], COLUMN["b2"]]].tolist()):
+        np.matmul(design.lift1 @ coef[s], lift2_t, out=pred)
+        logistic(b1, pred, out=s1)
+        logistic(b2, pred, out=pred)
+        s1 -= pred
+        s1 *= np.outer(f1[s], f2[s], out=p0)
+        total += pred
+        total += s1
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(_posterior(), st.sampled_from(("b1", "b2")), st.sampled_from((1.0, 300.0, 1e4)),
+       st.integers(0, 4))
+def test_fine_kernel_equals_the_two_logistic_oracle(posterior, slope, scale_by, split):
+    # the same bits as the oracle, also where b B passes EXP_CLAMP, so that
+    # the clamp runs, and with the rows summed in two blocks split anywhere
+    draws, spline, scale = posterior
+    draws[:, COLUMN[slope]] *= scale_by
+    design = SurfaceDesign.on_axes(np.linspace(-4.0, 5.0, 17), np.linspace(-3.5, 5.5, 13),
+                                   spline, scale)
+    want = _two_logistic_mean_surface(draws, design)
+    split = min(split, len(draws))
+    with np.errstate(over="raise", invalid="raise"):
+        got = summed_mean_surface(draws[split:], design,
+                                  total=summed_mean_surface(draws[:split], design))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_batched_surfaces_reject_wrong_coefficient_count(small_grid, small_spline):
