@@ -95,6 +95,7 @@ class RunConfig:
                 f"bi_ec50_tolerance must be nonnegative, not {self.bi_ec50_tolerance}")
         if self.fine_points < 2:
             raise ValidationError(f"fine_points must be at least 2, not {self.fine_points}")
+        self.prior_spec()  # rejects an unusable prior hyperparameter
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(n_iter=self.iters, burn_in=self.burn_in, thin=self.thin,
@@ -261,12 +262,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_truth_axes(truth: dict, grid: LogConcGrid):
+def _read_truth(path, grid: LogConcGrid):
+    """The truth CSV at path, which must lie on the plate's grid, or None without a path."""
+    if not path:
+        return None
+    truth = cio.read_truth_csv(path)
     delta = truth["delta"]
     if (delta.axis1.size != grid.logc1.size or delta.axis2.size != grid.logc2.size
             or not np.allclose(delta.axis1, grid.logc1)
             or not np.allclose(delta.axis2, grid.logc2)):
         raise ValidationError("truth grid does not match the plate grid")
+    return truth
 
 
 def _setup(args, run_cfg: RunConfig):
@@ -291,10 +297,7 @@ def _cmd_fit(args) -> int:
                               f"{run_cfg.iters}: no proposal would ever adapt")
     chain_cfg = run_cfg.chain_config()
     data, grid, spline = _setup(args, run_cfg)
-    truth = None
-    if args.truth:
-        truth = cio.read_truth_csv(args.truth)
-        _check_truth_axes(truth, grid)
+    truth = _read_truth(args.truth, grid)
     posterior = run_chains(data, run_cfg.chains, priors=run_cfg.prior_spec(),
                            spline=spline, config=chain_cfg,
                            linear_scale=run_cfg.linear_scale)
@@ -348,16 +351,12 @@ def _cmd_summarize(args) -> int:
     if fitted_sha != plate_sha:
         raise ValidationError(f"{args.input} is not the plate of the fit record {record_path}: "
                               f"plate_sha256 {plate_sha}, recorded {fitted_sha}")
-    samples = cio.read_samples_csv(args.samples)
-    if samples.coeff_shape != (spline.k1, spline.k2):
-        raise ValidationError(
-            f"samples hold a {samples.coeff_shape[0]} x {samples.coeff_shape[1]} coefficient "
-            f"matrix; the fit record {record_path} gives k1 {spline.k1}, k2 {spline.k2}")
+    chain, draws = cio.read_samples_csv(args.samples, spline.k1, spline.k2)
     # rows grouped by ascending chain index, in file order within each chain
-    order = np.argsort(samples.chain, kind="stable")
-    posterior = Posterior(draws=samples.draws[order], chain=samples.chain[order], grid=grid,
+    order = np.argsort(chain, kind="stable")
+    posterior = Posterior(draws=draws[order], chain=chain[order], grid=grid,
                           spline=spline, linear_scale=run_cfg.linear_scale, data=data)
-    del samples  # the posterior holds a copy of its rows
+    del draws  # the posterior holds a copy of its rows
     report = _summarize(posterior, run_cfg)
     with _OutputSet(outdir) as out:
         payload = {"config": asdict(run_cfg), "input": str(args.input),
@@ -373,10 +372,7 @@ def _cmd_baseline(args) -> int:
     methods = list(dict.fromkeys(args.method or BASELINE_METHODS))
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
-    truth = None
-    if args.truth:
-        truth = cio.read_truth_csv(args.truth)
-        _check_truth_axes(truth, grid)
+    truth = _read_truth(args.truth, grid)
     with _OutputSet(outdir) as out:
         summary = {}
         for method in methods:

@@ -10,7 +10,6 @@ import json
 import math
 import warnings
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,37 +20,142 @@ from .model import DRAW_SCALARS, invalid_entry
 PLATE_HEADER = ["drug1_conc", "drug2_conc", "replicate", "viability"]
 TRUTH_HEADER = ["log10_drug1_conc", "log10_drug2_conc", "p0", "delta", "p"]
 _SURFACE_CORNER = "log10_conc1\\log10_conc2"
+# one row of each long-form CSV, in its header's column order
+_PLATE_ROW = np.dtype([("conc", np.float64, (2,)), ("replicate", np.int64),
+                       ("viability", np.float64)])
+_TRUTH_ROW = np.dtype([("axes", np.float64, (2,)), ("values", np.float64, (3,))])
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _parse_float(text, line_no, column):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationError(f"line {line_no}: non-numeric {column} value {text!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"line {line_no}: non-finite {column} value {text!r}")
-    return value
+# ---------------------------------------------------------------------------
+# The table reader
 
 
-def _open_rows(path):
+def _read_table(path, header, dtype, kind):
+    """The data rows of the CSV file at path, as one structured array of dtype.
+
+    The first line must hold the names of header (read by csv.reader, so a
+    quoted name or a byte-order mark passes); kind names the file in the error.
+    The body is parsed by one np.loadtxt call, so a cell is a plain decimal or
+    exponent number, without quotes, underscores or non-ASCII digits, and it
+    must hold at least one row. A body loadtxt rejects is scanned for the line
+    to name (_row_fault).
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as fh:  # -sig: without a byte-order mark
+            names = [cell.strip() for cell in next(csv.reader([fh.readline()]), [])]
+            if not names:
+                raise ValidationError(f"{path}: empty file")
+            if names != header:
+                k = next((k for k, (a, b) in enumerate(zip(names, header)) if a != b), None)
+                detail = (f"{len(names)} columns, expected {len(header)}" if k is None else
+                          f"column {k + 1} is {names[k]!r}, expected {header[k]!r}")
+                raise ValidationError(f"{path}: header must be that of {kind}: {detail}")
+            try:
+                rows = _load_rows(fh, dtype)
+            except ValueError as exc:
+                raise (_row_fault(path, header, dtype)
+                       or ValidationError(f"{path}: {exc}")) from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    if not rows.size:
+        raise ValidationError(f"{path}: no data rows")
+    return rows
 
 
-def _check_header(rows, expected, path):
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [cell.strip().lstrip("﻿") for cell in rows[0]]
-    if header != expected:
-        raise ValidationError(
-            f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
+def _load_rows(lines, dtype):
+    """np.loadtxt of comma-separated lines, without comments or quoting. Input
+    without rows gives an empty array, and float text in an integer field
+    raises ValueError also on numpy versions that only warn about it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _data_lines(path):
+    """(line number, line) of each nonempty line after the header, the lines
+    that loadtxt parses."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line
+
+
+def _row_fault(path, header, dtype):
+    """A ValidationError naming the first line of path that loadtxt rejects,
+    or None if none is found: a ragged row, or a cell that does not parse as
+    its column's type in dtype. Each cell is parsed by loadtxt itself, so the
+    scan rejects what the read rejects."""
+    def parses(cell, column_type):
+        try:
+            return _load_rows([cell], column_type).size == 1
+        except ValueError:
+            return False
+
+    types = [dtype[field].base for field in dtype.names
+             for _ in range(math.prod(dtype[field].shape))]
+    for line_no, line in _data_lines(path):
+        row = line.split(",")
+        if len(row) != len(header):
+            return ValidationError(f"{path} line {line_no}: ragged row, expected "
+                                   f"{len(header)} fields, got {len(row)}")
+        for name, cell, column_type in zip(header, row, types):
+            if not parses(cell, column_type):
+                return ValidationError(
+                    f"{path} line {line_no}: {name} value {cell!r} is not a 64-bit integer"
+                    if column_type.kind == "i" else
+                    f"{path} line {line_no}: non-numeric {name} value {cell!r}")
+    return None
+
+
+def _row_error(path, row, message):
+    """A ValidationError naming the line of data row `row` of path."""
+    line_no = next(islice(_data_lines(path), row, None))[0]
+    return ValidationError(f"{path} line {line_no}: {message}")
+
+
+def _require(path, ok, values, names, need):
+    """Reject the first row where ok, a rows x columns mask over values whose
+    columns are named by names, is False."""
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
+        raise _row_error(path, row, f"{names[col]} must be {need}, "
+                                    f"got {values[row, col].item()!r}")
+
+
+def _axis(values):
+    """The distinct values in ascending order, each with the bits of its first
+    occurrence (0.0 or -0.0), and the position of every value on them."""
+    _, first, position = np.unique(values, return_index=True, return_inverse=True)
+    return values[first], position
+
+
+def _place(path, axes, index, cell, values):
+    """values, a (k, rows) array, laid out as k grids on axes, where index
+    holds each row's position on every axis. The rows must give every cell
+    once: the line of a repeated cell is named, and else the first missing
+    cell. cell formats a cell's axis values for the message."""
+    shape = tuple(axis.size for axis in axes)
+    flat = np.ravel_multi_index(index, shape)
+    _, first, cell_of = np.unique(flat, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[cell_of] != np.arange(flat.size))
+    if repeats.size:
+        raise _row_error(path, repeats[0], "duplicate " + cell.format(
+            *(axis[at[repeats[0]]] for axis, at in zip(axes, index))))
+    if flat.size != math.prod(shape):
+        gaps = np.flatnonzero(np.sort(flat) != np.arange(flat.size))
+        missing = np.unravel_index(gaps[0] if gaps.size else flat.size, shape)
+        raise ValidationError(f"{path}: incomplete grid, missing " + cell.format(
+            *(axis[at] for axis, at in zip(axes, missing))))
+    grids = np.empty(values.shape)
+    grids[:, flat] = values
+    return grids.reshape(-1, *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -62,55 +166,25 @@ def ingest_plate(path) -> PlateDataset:
     """Read a replicated plate from CSV.
 
     Schema: drug1_conc,drug2_conc,replicate,viability with replicates numbered
-    1..n_rep per cell. The grid must be complete (every cell, every replicate,
-    exactly once) and both axes must include the zero concentration. The plate
-    carries PlateDataset's default drug names.
+    1..n_rep per cell, the rows in any order. The grid must be complete (every
+    cell, every replicate, exactly once) and both axes must include the zero
+    concentration. The plate carries PlateDataset's default drug names.
     """
-    rows = _open_rows(path)
-    _check_header(rows, PLATE_HEADER, path)
-    cells = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"line {line_no}: expected 4 fields, got {len(row)}")
-        c1 = _parse_float(row[0], line_no, "drug1_conc")
-        c2 = _parse_float(row[1], line_no, "drug2_conc")
-        for value, text, column in ((c1, row[0], "drug1_conc"), (c2, row[1], "drug2_conc")):
-            if value < 0.0:
-                raise ValidationError(f"line {line_no}: negative {column} value {text!r}")
-        try:
-            rep = int(row[2])
-        except ValueError:
-            raise ValidationError(
-                f"line {line_no}: replicate must be an integer, got {row[2]!r}") from None
-        if rep < 1:
-            raise ValidationError(f"line {line_no}: replicate indices start at 1")
-        value = _parse_float(row[3], line_no, "viability")
-        key = (c1, c2, rep)
-        if key in cells:
-            raise ValidationError(
-                f"line {line_no}: duplicate reading for concentrations "
-                f"({c1:g}, {c2:g}) replicate {rep}")
-        cells[key] = value
-    if not cells:
-        raise ValidationError(f"{path}: no data rows")
-    conc1 = sorted({k[0] for k in cells})
-    conc2 = sorted({k[1] for k in cells})
-    if conc1[0] != 0.0 or conc2[0] != 0.0:
-        raise ValidationError("both concentration axes must include the zero dose")
-    n_rep = max(k[2] for k in cells)
-    viability = np.empty((len(conc1), len(conc2), n_rep))
-    for i, c1 in enumerate(conc1):
-        for j, c2 in enumerate(conc2):
-            for rep in range(1, n_rep + 1):
-                key = (c1, c2, rep)
-                if key not in cells:
-                    raise ValidationError(
-                        f"missing reading for concentrations ({c1:g}, {c2:g}) "
-                        f"replicate {rep}")
-                viability[i, j, rep - 1] = cells[key]
-    return PlateDataset(conc1=np.array(conc1), conc2=np.array(conc2), viability=viability)
+    rows = _read_table(path, PLATE_HEADER, _PLATE_ROW, "a plate")
+    conc, replicate = rows["conc"], rows["replicate"][:, None]
+    values = np.column_stack((conc, rows["viability"]))
+    _require(path, np.isfinite(values), values, PLATE_HEADER[:2] + PLATE_HEADER[3:], "finite")
+    _require(path, conc >= 0.0, conc, PLATE_HEADER, "nonnegative")
+    # a replicate index past the row count leaves a cell missing
+    _require(path, (replicate >= 1) & (replicate <= rows.size), replicate, PLATE_HEADER[2:],
+             f"between 1 and {rows.size}, the number of rows")
+    (conc1, at1), (conc2, at2) = _axis(conc[:, 0]), _axis(conc[:, 1])
+    replicates = np.arange(1, replicate.max() + 1)
+    viability = _place(path, (conc1, conc2, replicates), (at1, at2, replicate[:, 0] - 1),
+                       "reading for concentrations ({:g}, {:g}) replicate {}",
+                       rows["viability"][None])
+    # PlateDataset requires the zero dose on both axes
+    return PlateDataset(conc1=conc1, conc2=conc2, viability=viability[0])
 
 
 def write_plate_csv(path, data: PlateDataset):
@@ -150,38 +224,16 @@ def write_truth_csv(path, truths: dict):
 
 
 def read_truth_csv(path) -> dict:
-    rows = _open_rows(path)
-    _check_header(rows, TRUTH_HEADER, path)
-    records = {}
-    axis1_order, axis2_order = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValidationError(f"{path} line {line_no}: expected 5 fields")
-        a1 = _parse_float(row[0], line_no, "log10_drug1_conc")
-        a2 = _parse_float(row[1], line_no, "log10_drug2_conc")
-        if a1 not in axis1_order:
-            axis1_order.append(a1)
-        if a2 not in axis2_order:
-            axis2_order.append(a2)
-        if (a1, a2) in records:
-            raise ValidationError(
-                f"{path} line {line_no}: duplicate truth row for ({a1:g}, {a2:g})")
-        records[(a1, a2)] = tuple(_parse_float(row[k], line_no, TRUTH_HEADER[k])
-                                  for k in (2, 3, 4))
-    axis1 = np.array(axis1_order)
-    axis2 = np.array(axis2_order)
-    grids = {}
-    for offset, name in enumerate(("p0", "delta", "p")):
-        values = np.empty((axis1.size, axis2.size))
-        for i, a1 in enumerate(axis1_order):
-            for j, a2 in enumerate(axis2_order):
-                if (a1, a2) not in records:
-                    raise ValidationError(f"{path}: incomplete truth grid at ({a1}, {a2})")
-                values[i, j] = records[(a1, a2)][offset]
-        grids[name] = SurfaceGrid(values=values, axis1=axis1, axis2=axis2)
-    return grids
+    """The p0, delta and p SurfaceGrids of a truth CSV, on ascending axes; the
+    rows may come in any order but must give every cell once."""
+    rows = _read_table(path, TRUTH_HEADER, _TRUTH_ROW, "a truth file")
+    table = np.column_stack((rows["axes"], rows["values"]))
+    _require(path, np.isfinite(table), table, TRUTH_HEADER, "finite")
+    (axis1, at1), (axis2, at2) = _axis(rows["axes"][:, 0]), _axis(rows["axes"][:, 1])
+    values = _place(path, (axis1, axis2), (at1, at2), "truth row for ({:g}, {:g})",
+                    rows["values"].T)
+    return {name: SurfaceGrid(values=values[k], axis1=axis1, axis2=axis2)
+            for k, name in enumerate(("p0", "delta", "p"))}
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +243,6 @@ def read_truth_csv(path) -> dict:
 def samples_header(k1: int, k2: int):
     coeff = [f"C_{i}_{j}" for i in range(k1) for j in range(k2)]
     return ["chain", "sample", *DRAW_SCALARS] + coeff
-
-
-class Samples(NamedTuple):
-    """Contents of a samples CSV: per-row chain index and the draws array."""
-
-    chain: np.ndarray        # (n,) int
-    draws: np.ndarray        # (n, 15 + k1 * k2), model.DRAW_SCALARS then C
-    coeff_shape: tuple       # (k1, k2) from the coefficient column names
 
 
 def write_samples_csv(path, posterior):
@@ -215,99 +259,22 @@ def write_samples_csv(path, posterior):
                       in zip(chain.tolist(), sample.tolist(), posterior.draws))
 
 
-def read_samples_csv(path) -> Samples:
-    """Read samples back, the rows parsed by one np.loadtxt call into an int64
-    chain, an int64 sample and float64 draws.
-
-    Like loadtxt, a row takes no quoted cells, no underscores in numbers and
-    no float text in the chain and sample columns. A row loadtxt rejects is
-    named by a scan of the lines (_samples_fault).
-    Every row must lie inside the model's domain (model.invalid_entry).
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = [cell.strip().lstrip("\ufeff")
-                      for cell in next(csv.reader([fh.readline()]), [])]
-            if not header:
-                raise ValidationError(f"{path}: empty file")
-            coeff_cols = [name for name in header if name.startswith("C_")]
-            try:
-                indices = [tuple(int(part) for part in name[2:].split("_"))
-                           for name in coeff_cols]
-            except ValueError:
-                raise ValidationError(f"{path}: malformed coefficient column names") from None
-            if not indices:
-                raise ValidationError(f"{path}: no coefficient columns")
-            k1 = max(i for i, _ in indices) + 1
-            k2 = max(j for _, j in indices) + 1
-            if header != samples_header(k1, k2):
-                raise ValidationError(f"{path}: unexpected samples header")
-            dtype = np.dtype([("chain", np.int64), ("sample", np.int64),
-                              ("draws", np.float64, (len(header) - 2,))])
-            try:
-                rows = _load_rows(fh, dtype)
-            except ValueError as exc:
-                raise (_samples_fault(path, header)
-                       or ValidationError(f"{path}: {exc}")) from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    if not rows.size:
-        raise ValidationError(f"{path}: no samples")
+def read_samples_csv(path, k1: int, k2: int) -> tuple:
+    """(chain, draws) of a samples CSV of a k1 x k2 coefficient matrix: the
+    int64 chain index of each row and the float64 draws array, one row per
+    line in file order. Every row must lie inside the model's domain
+    (model.invalid_entry)."""
+    header = samples_header(k1, k2)
+    dtype = np.dtype([("chain", np.int64), ("sample", np.int64),
+                      ("draws", np.float64, (len(header) - 2,))])
+    rows = _read_table(path, header, dtype, f"samples of a {k1} x {k2} coefficient matrix")
     draws = np.ascontiguousarray(rows["draws"])
     invalid = invalid_entry(draws)
     if invalid is not None:
         row, col, need = invalid
-        line_no = next(islice(_data_lines(path), row, None))[0]
-        raise ValidationError(f"{path} line {line_no}: {header[2 + col]} must be {need}, "
-                              f"got {draws[row, col]!r}")
-    return Samples(chain=np.ascontiguousarray(rows["chain"]), draws=draws,
-                   coeff_shape=(k1, k2))
-
-
-def _load_rows(lines, dtype):
-    """np.loadtxt of comma-separated lines, without comments or quoting. Input
-    without rows gives an empty array, and float text in an integer field
-    raises ValueError also on numpy versions that only warn about it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-
-
-def _data_lines(path):
-    """(line number, line) of each nonempty line after the header, the lines
-    that loadtxt parses."""
-    with open(path, encoding="utf-8") as fh:
-        next(fh, None)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield line_no, line
-
-
-def _samples_fault(path, header):
-    """A ValidationError naming the first line of path that loadtxt rejects,
-    or None if none is found: a ragged row, a bad chain or sample index, or a
-    non-numeric draw. Each cell is parsed by loadtxt itself, so the scan
-    rejects what the read rejects."""
-    def parses(cell, dtype):
-        try:
-            return _load_rows([cell], dtype).size == 1
-        except ValueError:
-            return False
-
-    for line_no, line in _data_lines(path):
-        row = line.split(",")
-        if len(row) != len(header):
-            return ValidationError(f"{path} line {line_no}: ragged row")
-        for cell, what in zip(row[:2], ("chain", "sample")):
-            if not parses(cell, np.int64):
-                return ValidationError(f"{path} line {line_no}: bad {what} index")
-        for name, cell in zip(header[2:], row[2:]):
-            if not parses(cell, np.float64):
-                return ValidationError(
-                    f"{path} line {line_no}: non-numeric {name} value {cell!r}")
-    return None
+        raise _row_error(path, row, f"{header[2 + col]} must be {need}, "
+                                    f"got {draws[row, col].item()!r}")
+    return np.ascontiguousarray(rows["chain"]), draws
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +299,7 @@ def read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None

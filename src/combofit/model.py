@@ -56,8 +56,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.rate > 0.0):
-            raise ValidationError("Gamma prior needs positive shape and rate")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
+            raise ValidationError("Gamma prior needs finite positive shape and rate")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class HalfCauchyPrior:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValidationError("Half-Cauchy prior needs a positive scale")
+        if not 0.0 < self.scale < math.inf:
+            raise ValidationError("Half-Cauchy prior needs a finite positive scale")
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class InverseGammaPrior:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.rate > 0.0):
-            raise ValidationError("Inverse-Gamma prior needs positive shape and rate")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
+            raise ValidationError("Inverse-Gamma prior needs finite positive shape and rate")
 
 
 _DEFAULT_GAMMA = GammaPrior(0.01, 0.01)  # mean 1, variance 100

@@ -39,6 +39,8 @@ class SplineSpec:
     penalty_ridge: float = 1e-4
 
     def __post_init__(self):
+        if self.degree < 1:  # degree 0 gives an all-zero truncated-power basis
+            raise ValidationError(f"spline degree must be at least 1, not {self.degree}")
         knots1 = np.asarray(self.knots1, dtype=float)
         knots2 = np.asarray(self.knots2, dtype=float)
         for name, knots in (("knots1", knots1), ("knots2", knots2)):

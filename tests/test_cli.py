@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ def test_fit_writes_all_outputs(tmp_path, plate_csv):
     assert set(summary["rvus"]) == {"p0", "abs_delta", "delta_plus",
                                     "delta_minus", "one_minus_p"}
     assert summary["interaction_labels"]["delta_plus"] == "synergistic"
-    samples = read_samples_csv(outdir / "samples.csv")
-    assert len(samples.draws) == 50
+    _, draws = read_samples_csv(outdir / "samples.csv", 6, 6)
+    assert len(draws) == 50
     p, p0, delta = (reference.read_surface(outdir / f"surface_{name}.csv")[2]
                     for name in ("p", "p0", "delta"))
     assert p.shape == (5, 4)
@@ -90,9 +91,9 @@ def test_fit_is_deterministic(tmp_path, plate_csv):
 def test_fit_multiple_chains(tmp_path, plate_csv):
     outdir = tmp_path / "fit"
     assert _fit(plate_csv, outdir, "--chains", "2") == 0
-    samples = read_samples_csv(outdir / "samples.csv")
-    assert len(samples.draws) == 100
-    assert set(samples.chain.tolist()) == {0, 1}
+    chain, draws = read_samples_csv(outdir / "samples.csv", 6, 6)
+    assert len(draws) == 100
+    assert set(chain.tolist()) == {0, 1}
     summary = read_json(outdir / "summary.json")
     assert summary["n_samples"] == 100
     assert set(summary["acceptance"]) == {"0", "1"}
@@ -153,6 +154,12 @@ BAD_OPTIONS = {
     "string_hc_scale": ([], {"hc_scale": "1"}),
     "variance_prior_xx": ([], {"variance_prior": "xx"}),
     "linear_scale_xx": ([], {"linear_scale": "xx"}),
+    # JSON writes an infinite value as Infinity, and 1e309 overflows to it
+    "ig_rate_inf": ([], {"variance_prior": "ig", "ig_rate": math.inf}),
+    "ig_shape_1e309": ([], {"variance_prior": "ig", "ig_shape": 1e309}),
+    "hc_scale_inf": ([], {"hc_scale": math.inf}),
+    "lambda_shape_inf": ([], {"lambda_shape": math.inf}),
+    "b_rate_inf": ([], {"b_rate": math.inf}),
 }
 
 
@@ -176,6 +183,29 @@ def test_bad_options_fail_before_the_plate_is_read(tmp_path, plate_csv, monkeypa
     assert main(argv + flags + ["--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--degree", "0"], ["--degree", "-1"], ["--variance-prior", "ig", "--ig-rate", "inf"],
+    ["--variance-prior", "ig", "--ig-shape", "1e309"], ["--hc-scale", "inf"],
+    ["--lambda-shape", "inf"], ["--b-rate", "inf"],
+], ids=["degree_0", "degree_-1", "ig_rate_inf", "ig_shape_1e309", "hc_scale_inf",
+        "lambda_shape_inf", "b_rate_inf"])
+def test_fit_rejects_a_degenerate_model_before_sampling(tmp_path, plate_csv, monkeypatch,
+                                                         capsys, flags):
+    import combofit.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+    assert main(["fit", "--input", str(plate_csv), "--outdir", str(tmp_path / "out"),
+                 *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if flags[0] == "--degree":
+        assert f"degree must be at least 1, not {flags[1]}" in err
+    else:
+        assert "finite positive" in err
     assert calls == []
 
 
@@ -275,7 +305,9 @@ def test_summarize_rejects_a_different_coefficient_layout(tmp_path, plate_csv, c
     assert main(["summarize", "--input", str(plate_csv),
                  "--samples", str(fit_dir / "samples.csv"),
                  "--outdir", str(tmp_path / "summ")]) == 1
-    assert "6 x 6 coefficient matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4 x 9 coefficient matrix: column 24 is 'C_1_0', expected 'C_0_6'" in err
 
 
 @pytest.mark.parametrize("record", ["missing", "without_config", "without_plate_sha256"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combofit import PlateDataset, SimScenario, SurfaceGrid, ValidationError, sample_plate
-from combofit.io import (PLATE_HEADER, ingest_plate, read_json, read_samples_csv,
+from combofit.io import (PLATE_HEADER, TRUTH_HEADER, ingest_plate, read_json, read_samples_csv,
                          read_truth_csv, samples_header, write_json, write_plate_csv,
                          write_samples_csv, write_surface_csv, write_truth_csv)
 from combofit.model import COLUMN, DRAW_SCALARS, POSITIVE_SCALARS
@@ -104,6 +104,14 @@ def test_ingest_accepts_crlf(tmp_path):
     assert data.viability[1, 1, 0] == 0.33
 
 
+def test_ingest_accepts_a_quoted_header_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "plate.csv"
+    header, rows = PLATE_2X2.split("\n", 1)
+    quoted = ",".join(f'"{name}"' for name in header.split(","))
+    path.write_text("\ufeff" + quoted + "\n" + rows, encoding="utf-8")
+    assert ingest_plate(path).viability[1, 1, 0] == 0.33
+
+
 def test_ingest_reports_missing_replicate(tmp_path):
     lines = PLATE_2X2.splitlines()
     extra = ["1.0,2.5,2,0.30", "0.0,0.0,2,0.99", "0.0,2.5,2,0.78"]
@@ -131,19 +139,30 @@ def test_ingest_error_paths(tmp_path):
     expect(",".join(PLATE_HEADER) + "\n0.0,0.0,1\n", "expected 4 fields")
     expect(",".join(PLATE_HEADER) + "\n0.0,oops,1,0.5\n", "non-numeric")
     expect(",".join(PLATE_HEADER) + "\n0.0,0.0,first,0.5\n", "integer")
-    expect(",".join(PLATE_HEADER) + "\n0.0,0.0,0,0.5\n", "start at 1")
-    expect(",".join(PLATE_HEADER) + "\n0.0,0.0,1,inf\n", "non-finite")
+    expect(",".join(PLATE_HEADER) + "\n0.0,0.0,0,0.5\n",
+           "line 2: replicate must be between 1 and 1")
+    # a replicate past the row count leaves a cell missing; a huge one must
+    # not size the grid
+    expect(PLATE_2X2.replace("1.0,2.5,1,", "1.0,2.5,99999999999999,"),
+           "line 5: replicate must be between 1 and 4")
+    expect(",".join(PLATE_HEADER) + "\n0.0,0.0,1,inf\n", "line 2: viability must be finite")
     expect(PLATE_2X2 + "1.0,2.5,1,0.34\n", "duplicate")
     expect(",".join(PLATE_HEADER) + "\n1.0,2.0,1,0.5\n2.0,2.0,1,0.4\n"
-           "1.0,4.0,1,0.3\n2.0,4.0,1,0.2\n", "zero dose")
+           "1.0,4.0,1,0.3\n2.0,4.0,1,0.2\n", "must start with the zero concentration")
     # a negative dose is named with its line, not taken for a missing zero
     expect(",".join(PLATE_HEADER) + "\n" + "".join(
         f"{c1},{c2},1,0.5\n" for c1 in ("-1.0", "0.0", "1.0") for c2 in ("0.0", "2.0")),
-        "line 2: negative drug1_conc value '-1.0'")
-    expect(PLATE_2X2.replace("0.0,2.5,1", "0.0,-2.5,1", 1), "negative drug2_conc value '-2.5'")
+        "line 2: drug1_conc must be nonnegative, got -1.0")
+    expect(PLATE_2X2.replace("0.0,2.5,1", "0.0,-2.5,1", 1),
+           "drug2_conc must be nonnegative, got -2.5")
     with pytest.raises(ValidationError) as err:
         ingest_plate(tmp_path / "not_there.csv")
     assert "cannot read" in str(err.value)
+    # text that is not UTF-8, in the header or in a row
+    for text in (",".join(PLATE_HEADER) + "\n0.0,0.0,1,0.5\xe9\n", "drug1_conc\xe9\n"):
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValidationError, match="cannot read .*can't decode byte 0xe9"):
+            ingest_plate(path)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +227,9 @@ def test_truth_rejects_a_repeated_cell(tmp_path):
 def test_samples_round_trip_is_bit_exact(tmp_path, small_chain):
     path = tmp_path / "samples.csv"
     write_samples_csv(path, small_chain)
-    back = read_samples_csv(path)
-    assert back.coeff_shape == (6, 6)
-    np.testing.assert_array_equal(back.chain, np.zeros(len(small_chain)))
-    np.testing.assert_array_equal(back.draws, small_chain.draws)
+    chain, draws = read_samples_csv(path, 6, 6)
+    np.testing.assert_array_equal(chain, np.zeros(len(small_chain)))
+    np.testing.assert_array_equal(draws, small_chain.draws)
 
 
 
@@ -249,10 +267,10 @@ def test_samples_write_read_write_is_byte_identical(tmp_path_factory, small_chai
     first, second = (tmp_path_factory.mktemp("samples") / "samples.csv" for _ in range(2))
     index = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
     write_samples_csv(first, replace(small_chain, draws=np.concatenate(blocks), chain=index))
-    back = read_samples_csv(first)
-    np.testing.assert_array_equal(back.draws, np.concatenate(blocks))
-    np.testing.assert_array_equal(back.chain, index)
-    write_samples_csv(second, replace(small_chain, draws=back.draws, chain=back.chain))
+    chain, draws = read_samples_csv(first, 6, 6)
+    np.testing.assert_array_equal(draws, np.concatenate(blocks))
+    np.testing.assert_array_equal(chain, index)
+    write_samples_csv(second, replace(small_chain, draws=draws, chain=chain))
     assert first.read_bytes() == second.read_bytes()
     # the sample column counts from 0 within each chain
     rows = [line.split(",", 2)[:2] for line in first.read_text().splitlines()[1:]]
@@ -272,26 +290,27 @@ def test_samples_error_paths(tmp_path, small_chain):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join([lines[0].replace("m1", "mm1")] + lines[1:]) + "\n")
-    with pytest.raises(ValidationError):
-        read_samples_csv(bad)
+    with pytest.raises(ValidationError, match="6 x 6 coefficient matrix: column 3 is 'mm1', "
+                                              "expected 'm1'"):
+        read_samples_csv(bad, 6, 6)
     bad.write_text("\n".join([lines[0], lines[1] + ",0.0"]) + "\n")
     with pytest.raises(ValidationError) as err:
-        read_samples_csv(bad)
+        read_samples_csv(bad, 6, 6)
     assert "ragged" in str(err.value)
     bad.write_text(lines[0] + "\n")
     with pytest.raises(ValidationError) as err:
-        read_samples_csv(bad)
-    assert "no samples" in str(err.value)
+        read_samples_csv(bad, 6, 6)
+    assert "no data rows" in str(err.value)
     bad.write_text("chain,sample,m1\n0,0,0.1\n")
-    with pytest.raises(ValidationError):
-        read_samples_csv(bad)
+    with pytest.raises(ValidationError, match="3 columns, expected 53"):
+        read_samples_csv(bad, 6, 6)
 
     def expect(column, text, fragment):
         cells = lines[2].split(",")
         cells[lines[0].split(",").index(column)] = text
         bad.write_text("\n".join([lines[0], lines[1], ",".join(cells)]) + "\n")
         with pytest.raises(ValidationError) as err:
-            read_samples_csv(bad)
+            read_samples_csv(bad, 6, 6)
         assert "line 3" in str(err.value) and fragment in str(err.value)
 
     expect("gamma1", "oops", "non-numeric gamma1")
@@ -299,17 +318,17 @@ def test_samples_error_paths(tmp_path, small_chain):
     expect("m2", "nan", "m2 must be finite")
     expect("sigma2_gamma0", "0.0", "sigma2_gamma0 must be finite and positive")
     expect("b2", "-1.5", "b2 must be finite and positive")
-    expect("chain", "x", "bad chain index")
+    expect("chain", "x", "chain value 'x' is not a 64-bit integer")
     # loadtxt takes no quoted cell, no underscore in a number and no
     # non-integer sample; each is named with its line
     expect("m1", '"0.5"', "non-numeric m1 value")
     expect("C_0_1", "1_0", "non-numeric C_0_1 value '1_0'")
-    expect("chain", "1_0", "bad chain index")
-    expect("sample", "1.5", "bad sample index")
+    expect("chain", "1_0", "chain value '1_0' is not a 64-bit integer")
+    expect("sample", "1.5", "sample value '1.5' is not a 64-bit integer")
     # the line scan parses each cell as loadtxt does: a digit that float()
     # takes and loadtxt does not, and an index past int64, are named too
     expect("m2", "\u0661", "non-numeric m2 value")
-    expect("chain", "99999999999999999999", "bad chain index")
+    expect("chain", "99999999999999999999", "is not a 64-bit integer")
 
 
 @pytest.mark.filterwarnings("default::DeprecationWarning")
@@ -322,8 +341,81 @@ def test_float_text_in_the_chain_column_is_rejected_under_default_warnings(
     write_samples_csv(path, small_chain)
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], text + lines[1][1:]] + lines[2:]) + "\n")
-    with pytest.raises(ValidationError, match="line 2: bad chain index"):
-        read_samples_csv(path)
+    with pytest.raises(ValidationError, match="line 2: chain value .* is not a 64-bit integer"):
+        read_samples_csv(path, 6, 6)
+
+
+# ---------------------------------------------------------------------------
+# One grammar for every CSV
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", '"0.5"', "0x10"])
+@pytest.mark.parametrize("reader", ["plate", "truth", "samples"])
+def test_every_reader_rejects_the_same_tokens_with_their_line(tmp_path, small_plate,
+                                                             small_chain, reader, token):
+    # float() and int() took 1_0 as 10 and the Arabic-Indic digit as 1; loadtxt,
+    # the one grammar, takes neither, nor a quoted cell or hexadecimal text
+    path = tmp_path / f"{reader}.csv"
+    if reader == "plate":
+        write_plate_csv(path, small_plate)
+        read, columns = ingest_plate, PLATE_HEADER
+    elif reader == "truth":
+        write_truth_csv(path, sample_plate(SimScenario(1, seed=2))[1])
+        read, columns = read_truth_csv, TRUTH_HEADER
+    else:
+        write_samples_csv(path, small_chain)
+        read, columns = (lambda at: read_samples_csv(at, 6, 6),
+                         ["chain", "sample", "m1", "sigma2_eps", "C_5_5"])
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    for column in columns:
+        cells = lines[2].split(",")
+        cells[header.index(column)] = token
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert "line 3: " in str(err.value) and repr(token) in str(err.value), column
+
+
+@st.composite
+def _truths(draw):
+    """Truth surfaces on 1-5 distinct ascending values per axis, with any
+    finite values."""
+    axis1, axis2 = (sorted(draw(st.lists(_FINITE, min_size=1, max_size=5, unique=True)))
+                    for _ in range(2))
+    size = len(axis1) * len(axis2)
+    return {name: SurfaceGrid(values=np.reshape(draw(st.lists(_FINITE, min_size=size,
+                                                              max_size=size)),
+                                                (len(axis1), len(axis2))),
+                              axis1=axis1, axis2=axis2)
+            for name in ("p0", "delta", "p")}
+
+
+def _arrays(loaded):
+    """The named arrays of a PlateDataset or of a dict of truth SurfaceGrids."""
+    if isinstance(loaded, PlateDataset):
+        return {name: getattr(loaded, name) for name in ("conc1", "conc2", "viability")}
+    return {f"{key}.{name}": getattr(grid, name) for key, grid in loaded.items()
+            for name in ("values", "axis1", "axis2")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(st.just("plate"), _plates()), st.tuples(st.just("truth"), _truths())),
+       st.randoms(use_true_random=False))
+def test_shuffled_rows_load_to_the_same_bytes(case, random):
+    kind, want = case
+    write, read = {"plate": (write_plate_csv, ingest_plate),
+                   "truth": (write_truth_csv, read_truth_csv)}[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.csv"
+        write(path, want)
+        header, *rows = path.read_text().splitlines()
+        random.shuffle(rows)
+        path.write_text("\n".join([header] + rows) + "\n")
+        got = _arrays(read(path))
+    for name, expected in _arrays(want).items():
+        assert got[name].shape == expected.shape, name
+        assert got[name].tobytes() == expected.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -351,5 +443,8 @@ def test_json_error_paths(tmp_path):
     assert "invalid JSON" in str(err.value)
     with pytest.raises(ValidationError):
         read_json(tmp_path / "missing.json")
+    path.write_bytes(b'{"a": "\xe9"}')
+    with pytest.raises(ValidationError, match="cannot read"):
+        read_json(path)
     with pytest.raises(TypeError):
         write_json(tmp_path / "x.json", {"bad": object()})

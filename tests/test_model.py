@@ -411,6 +411,13 @@ def test_prior_validation():
         InverseGammaPrior(1.0, 0.0)
     with pytest.raises(ValidationError):
         PriorSpec(variance_prior="hc")
+    # an infinite or NaN hyperparameter is no usable prior either
+    for bad in (math.inf, math.nan, 1e309):
+        for build in (lambda: GammaPrior(bad, 1.0), lambda: GammaPrior(1.0, bad),
+                      lambda: HalfCauchyPrior(bad), lambda: InverseGammaPrior(bad, 1.0),
+                      lambda: InverseGammaPrior(1.0, bad)):
+            with pytest.raises(ValidationError, match="finite positive"):
+                build()
 
 
 # ---------------------------------------------------------------------------

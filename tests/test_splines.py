@@ -138,6 +138,16 @@ def test_spec_validates_knot_count():
         SplineSpec(knots1=good[:4], knots2=good)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_spec_rejects_a_degree_below_one(small_grid, degree):
+    # degree 0 gave an all-zero basis, so C never moved the surface
+    knots = _knot_ladder(0.0, 1.0, 6, 3)
+    for build in (lambda: SplineSpec(knots1=knots, knots2=knots, degree=degree),
+                  lambda: SplineSpec.for_grid(small_grid, degree=degree)):
+        with pytest.raises(ValidationError, match=f"degree must be at least 1, not {degree}"):
+            build()
+
+
 def test_spec_validates_spacing():
     knots = _knot_ladder(0.0, 1.0, 6, 3).copy()
     knots[4] += 0.01
