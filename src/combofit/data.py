@@ -33,7 +33,6 @@ class PlateDataset:
     conc1: np.ndarray
     conc2: np.ndarray
     viability: np.ndarray
-    drug_names: tuple = ("drug1", "drug2")
 
     def __post_init__(self):
         conc1 = _as_float_array(self.conc1, "conc1", 1)
@@ -53,12 +52,9 @@ class PlateDataset:
             )
         if via.shape[2] < 1:
             raise ValidationError("viability needs at least one replicate")
-        if len(self.drug_names) != 2:
-            raise ValidationError("drug_names must hold exactly two labels")
         object.__setattr__(self, "conc1", conc1)
         object.__setattr__(self, "conc2", conc2)
         object.__setattr__(self, "viability", via)
-        object.__setattr__(self, "drug_names", (str(self.drug_names[0]), str(self.drug_names[1])))
 
     @property
     def n_rep(self):

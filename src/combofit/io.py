@@ -1,15 +1,15 @@
 """CSV and JSON serialisation of plates, surfaces and posterior samples.
 
-All floats are written with repr (shortest round-trip form), so every emitted
-file re-ingests to bit-identical values and repeated runs with the same seed
-produce byte-identical output.
+Every CSV is written by _write_table, a cell as the repr (shortest round-trip
+form) of its number, so every emitted file re-ingests to bit-identical values
+and repeated runs with the same seed produce byte-identical output.
 """
 
 import csv
 import json
 import math
 import warnings
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,14 +24,24 @@ _SURFACE_CORNER = "log10_conc1\\log10_conc2"
 _PLATE_ROW = np.dtype([("conc", np.float64, (2,)), ("replicate", np.int64),
                        ("viability", np.float64)])
 _TRUTH_ROW = np.dtype([("axes", np.float64, (2,)), ("values", np.float64, (3,))])
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
+_WRITE_BLOCK = 32  # rows that _write_table holds as Python numbers at a time
 
 
 # ---------------------------------------------------------------------------
-# The table reader
+# The table writer and reader
+
+
+def _write_table(path, header, *columns):
+    """Write header and the rows of columns, 2-D arrays of one row count
+    placed side by side, as CSV at path: each cell the repr of its Python int
+    or float, each row ended by \\r\\n. These are csv.writer's bytes, since no
+    header name or number needs quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _WRITE_BLOCK):
+            block = [column[start:start + _WRITE_BLOCK].tolist() for column in columns]
+            fh.writelines(",".join(map(repr, chain.from_iterable(row))) + "\r\n"
+                          for row in zip(*block))
 
 
 def _read_table(path, header, dtype, kind):
@@ -168,8 +178,7 @@ def ingest_plate(path) -> PlateDataset:
     Schema: drug1_conc,drug2_conc,replicate,viability with replicates numbered
     1..n_rep per cell, the rows in any order. The grid must be complete (every
     cell, every replicate, exactly once) and both axes must include the zero
-    concentration. The plate carries PlateDataset's default drug names.
-    """
+    concentration."""
     rows = _read_table(path, PLATE_HEADER, _PLATE_ROW, "a plate")
     conc, replicate = rows["conc"], rows["replicate"][:, None]
     values = np.column_stack((conc, rows["viability"]))
@@ -188,14 +197,9 @@ def ingest_plate(path) -> PlateDataset:
 
 
 def write_plate_csv(path, data: PlateDataset):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLATE_HEADER)
-        for i, c1 in enumerate(data.conc1):
-            for j, c2 in enumerate(data.conc2):
-                for r in range(data.n_rep):
-                    writer.writerow([_fmt(c1), _fmt(c2), r + 1,
-                                     _fmt(data.viability[i, j, r])])
+    i, j, r = np.indices(data.viability.shape).reshape(3, -1, 1)
+    _write_table(path, PLATE_HEADER, data.conc1[i], data.conc2[j], r + 1,
+                 data.viability.reshape(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +208,16 @@ def write_plate_csv(path, data: PlateDataset):
 
 def write_surface_csv(path, surface: SurfaceGrid):
     """Matrix-form CSV: first row the axis-2 values, first column axis 1."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([_SURFACE_CORNER] + [_fmt(v) for v in surface.axis2])
-        for i, a1 in enumerate(surface.axis1):
-            writer.writerow([_fmt(a1)] + [_fmt(v) for v in surface.values[i]])
+    _write_table(path, [_SURFACE_CORNER, *map(repr, surface.axis2.tolist())],
+                 surface.axis1[:, None], surface.values)
 
 
 def write_truth_csv(path, truths: dict):
     """Long-form CSV of the simulation truth surfaces (p0, delta, p)."""
-    p0, delta, p = truths["p0"], truths["delta"], truths["p"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for i, a1 in enumerate(p0.axis1):
-            for j, a2 in enumerate(p0.axis2):
-                writer.writerow([_fmt(a1), _fmt(a2), _fmt(p0.values[i, j]),
-                                 _fmt(delta.values[i, j]), _fmt(p.values[i, j])])
+    p0 = truths["p0"]
+    i, j = np.indices(p0.values.shape).reshape(2, -1, 1)
+    _write_table(path, TRUTH_HEADER, p0.axis1[i], p0.axis2[j],
+                 *(truths[name].values.reshape(-1, 1) for name in ("p0", "delta", "p")))
 
 
 def read_truth_csv(path) -> dict:
@@ -248,15 +245,10 @@ def samples_header(k1: int, k2: int):
 def write_samples_csv(path, posterior):
     """One row per retained draw of an mcmc.Posterior, in its row order; the
     sample column counts from 0 within each chain."""
-    chain = posterior.chain
-    sample = np.arange(len(chain)) - np.searchsorted(chain, chain)
-    header = samples_header(posterior.spline.k1, posterior.spline.k2)
-    # csv.writer's bytes, since names, ints and float reprs never need quoting;
-    # a row at a time: the whole posterior as Python floats would be ~4x its array
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{index},{idx},{','.join(map(repr, row.tolist()))}\r\n" for index, idx, row
-                      in zip(chain.tolist(), sample.tolist(), posterior.draws))
+    index = posterior.chain
+    sample = np.arange(len(index)) - np.searchsorted(index, index)
+    _write_table(path, samples_header(posterior.spline.k1, posterior.spline.k2),
+                 np.column_stack((index, sample)), posterior.draws)
 
 
 def read_samples_csv(path, k1: int, k2: int) -> tuple:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogConcGrid
+from .data import LogConcGrid, _as_float_array
 from .errors import ValidationError
 
 # Basis values this small are rounding debris of the truncated-power
@@ -29,6 +29,20 @@ def _knot_ladder(lo: float, hi: float, n_basis: int, degree: int) -> np.ndarray:
     return lo + dx * np.arange(-degree, n_seg + degree + 1)
 
 
+def check_layout(k1: int, k2: int, degree: int, ridge: float):
+    """Reject a spline layout that no grid can use: degree 0 gives an all-zero
+    basis, each axis needs degree + 1 basis functions and the second-difference
+    penalty 3, and the penalty ridge must be finite and positive."""
+    if degree < 1:
+        raise ValidationError(f"degree must be at least 1, not {degree}")
+    for name, k in (("k1", k1), ("k2", k2)):
+        if k < max(degree + 1, 3):
+            raise ValidationError(f"{name} must be at least {max(degree + 1, 3)} "
+                                  f"for degree {degree}, not {k}")
+    if not 0.0 < ridge < math.inf:
+        raise ValidationError(f"ridge must be finite and positive, not {ridge}")
+
+
 @dataclass(frozen=True)
 class SplineSpec:
     """Tensor-product spline layout of the interaction surface; k1, k2 follow from the knots."""
@@ -39,18 +53,14 @@ class SplineSpec:
     penalty_ridge: float = 1e-4
 
     def __post_init__(self):
-        if self.degree < 1:  # degree 0 gives an all-zero truncated-power basis
-            raise ValidationError(f"spline degree must be at least 1, not {self.degree}")
-        knots1 = np.asarray(self.knots1, dtype=float)
-        knots2 = np.asarray(self.knots2, dtype=float)
+        knots1 = _as_float_array(self.knots1, "knots1", 1)
+        knots2 = _as_float_array(self.knots2, "knots2", 1)
+        check_layout(knots1.size - self.degree - 1, knots2.size - self.degree - 1,
+                     self.degree, self.penalty_ridge)
         for name, knots in (("knots1", knots1), ("knots2", knots2)):
-            if knots.ndim != 1 or knots.size < self.degree + 2:
-                raise ValidationError(f"{name} needs at least {self.degree + 2} knots")
             steps = np.diff(knots)
             if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
                 raise ValidationError(f"{name} must be strictly increasing and equally spaced")
-        if not 0.0 < self.penalty_ridge:
-            raise ValidationError("penalty_ridge must be positive")
         object.__setattr__(self, "knots1", knots1)
         object.__setattr__(self, "knots2", knots2)
 

@@ -13,9 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 def pytest_collection_modifyitems(items):
-    """Run the unit tests first and the acceptance suite, which takes
-    minutes of sampling, last; the order within each group is unchanged."""
-    items.sort(key=lambda item: item.path.name == "test_acceptance.py")
+    """Run the unit tests first and the slow tests, such as the acceptance
+    suite's minutes of sampling, last; the order within each group is unchanged."""
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)
 
 
 def _make_small_plate():

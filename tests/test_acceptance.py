@@ -29,6 +29,8 @@ from combofit.splines import SplineSpec, basis_matrix, penalty_precision
 from combofit.summaries import (LpmlStream, combination_columns, dss_scores, mean_heights,
                                 mse_surface)
 
+pytestmark = pytest.mark.slow
+
 FIT_CONFIG = ChainConfig(n_iter=100_000, seed=1)
 MSE_SCALE = 1e-3
 

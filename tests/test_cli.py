@@ -160,6 +160,12 @@ BAD_OPTIONS = {
     "hc_scale_inf": ([], {"hc_scale": math.inf}),
     "lambda_shape_inf": ([], {"lambda_shape": math.inf}),
     "b_rate_inf": ([], {"b_rate": math.inf}),
+    # the spline layout and the chain count
+    "k1_3": ([], {"k1": 3}),
+    "k2_2_degree_1": ([], {"k2": 2, "degree": 1}),
+    "ridge_inf": ([], {"ridge": math.inf}),
+    "ridge_0": ([], {"ridge": 0.0}),
+    "chains_0": ([], {"chains": 0}),
 }
 
 
@@ -186,26 +192,34 @@ def test_bad_options_fail_before_the_plate_is_read(tmp_path, plate_csv, monkeypa
     assert calls == []
 
 
-@pytest.mark.parametrize("flags", [
-    ["--degree", "0"], ["--degree", "-1"], ["--variance-prior", "ig", "--ig-rate", "inf"],
-    ["--variance-prior", "ig", "--ig-shape", "1e309"], ["--hc-scale", "inf"],
-    ["--lambda-shape", "inf"], ["--b-rate", "inf"],
+@pytest.mark.parametrize("flags, message", [
+    (["--degree", "0"], "degree must be at least 1, not 0"),
+    (["--degree", "-1"], "degree must be at least 1, not -1"),
+    (["--variance-prior", "ig", "--ig-rate", "inf"], "finite positive"),
+    (["--variance-prior", "ig", "--ig-shape", "1e309"], "finite positive"),
+    (["--hc-scale", "inf"], "finite positive"), (["--lambda-shape", "inf"], "finite positive"),
+    (["--b-rate", "inf"], "finite positive"),
+    (["--k1", "3"], "k1 must be at least 4 for degree 3, not 3"),
+    (["--k1", "2", "--degree", "1"], "k1 must be at least 3 for degree 1, not 2"),
+    (["--k2", "2", "--degree", "2"], "k2 must be at least 3 for degree 2, not 2"),
+    (["--ridge", "inf"], "ridge must be finite and positive, not inf"),
+    (["--ridge", "nan"], "ridge must be finite and positive, not nan"),
+    (["--chains", "0"], "chains must be at least 1, not 0"),
 ], ids=["degree_0", "degree_-1", "ig_rate_inf", "ig_shape_1e309", "hc_scale_inf",
-        "lambda_shape_inf", "b_rate_inf"])
+        "lambda_shape_inf", "b_rate_inf", "k1_3", "k1_2_degree_1", "k2_2_degree_2",
+        "ridge_inf", "ridge_nan", "chains_0"])
 def test_fit_rejects_a_degenerate_model_before_sampling(tmp_path, plate_csv, monkeypatch,
-                                                         capsys, flags):
+                                                         capsys, flags, message):
     import combofit.cli as cli
 
     calls = []
     monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.cio, "ingest_plate", lambda *a, **k: calls.append(a))
     assert main(["fit", "--input", str(plate_csv), "--outdir", str(tmp_path / "out"),
                  *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if flags[0] == "--degree":
-        assert f"degree must be at least 1, not {flags[1]}" in err
-    else:
-        assert "finite positive" in err
+    assert message in err
     assert calls == []
 
 
@@ -501,10 +515,15 @@ def test_baseline_writes_all_methods_with_mse(tmp_path):
         assert (outdir / f"baseline_{method}.csv").exists()
         assert (outdir / f"baseline_delta_{method}.csv").exists()
         assert entry["mse_delta"] >= 0.0
-    assert "fit1" in summary["bliss"]
-    assert "flagged_cells" in summary["loewe"]
-    assert "fell_back" in summary["zip"]
-    assert "fit1" not in summary["hsa"]
+    # each entry in the order fit wrote it: the monotherapy fits by field,
+    # then the method's diagnostics and the MSE
+    assert {method: list(entry) for method, entry in summary.items()} == {
+        "bliss": ["fit1", "fit2", "mse_delta"], "hsa": ["mse_delta"],
+        "loewe": ["fit1", "fit2", "flagged_cells", "mse_delta"],
+        "zip": ["fit1", "fit2", "fell_back", "mse_delta"]}
+    for method in ("bliss", "loewe", "zip"):
+        for key in ("fit1", "fit2"):
+            assert list(summary[method][key]) == ["m", "lam", "rss", "lambda_at_bound"]
 
 
 def test_baseline_method_selection(tmp_path, plate_csv):

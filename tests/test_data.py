@@ -37,12 +37,6 @@ def test_plate_rejects_non_finite():
                      viability=bad)
 
 
-def test_plate_needs_two_drug_names():
-    with pytest.raises(ValidationError):
-        PlateDataset(conc1=np.array([0.0, 1.0]), conc2=np.array([0.0, 1.0]),
-                     viability=np.ones((2, 2, 1)), drug_names=("only-one",))
-
-
 def test_log_grid_zero_substitution(small_plate):
     grid = LogConcGrid.from_dataset(small_plate)
     # zero dose sits exactly two decades below the smallest real dose

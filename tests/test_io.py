@@ -49,7 +49,6 @@ def test_plate_round_trip_is_bit_exact(tmp_path, small_plate):
     np.testing.assert_array_equal(back.conc1, small_plate.conc1)
     np.testing.assert_array_equal(back.conc2, small_plate.conc2)
     np.testing.assert_array_equal(back.viability, small_plate.viability)
-    assert back.drug_names == ("drug1", "drug2")
 
 
 # the extremes of float64 next to ordinary values: the smallest subnormal, the
@@ -233,20 +232,47 @@ def test_samples_round_trip_is_bit_exact(tmp_path, small_chain):
 
 
 
-def test_samples_bytes_are_csv_writers(tmp_path, small_chain):
-    # rows are joined by hand; they must be csv.writer's bytes for signed
-    # zeros, subnormals, extremes and chain indices of two digits
-    draws = np.resize([-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.1],
-                      (12, small_chain.draws.shape[1]))
+# signed zeros, the smallest subnormal, the largest float, a tiny and an ordinary value
+_EDGE_CELLS = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 0.1]
+
+
+def _table(kind, small_chain):
+    """(writer, its argument, the rows that csv.writer gets) of one CSV kind,
+    on edge values and replicate and chain indices of two digits."""
+    axis = _EDGE_CELLS[:3]
+    if kind == "plate":
+        plate = PlateDataset(conc1=axis, conc2=axis, viability=np.resize(_EDGE_CELLS, (3, 3, 11)))
+        return write_plate_csv, plate, [PLATE_HEADER] + [
+            [c1, c2, r + 1, plate.viability[i, j, r].item()]
+            for i, c1 in enumerate(axis) for j, c2 in enumerate(axis) for r in range(11)]
+    values = [np.roll(np.resize(_EDGE_CELLS, (3, 3)), k) for k in range(3)]
+    if kind == "truth":
+        truths = {name: SurfaceGrid(values=v, axis1=axis, axis2=axis)
+                  for name, v in zip(("p0", "delta", "p"), values)}
+        return write_truth_csv, truths, [TRUTH_HEADER] + [
+            [a1, a2, *(v[i, j].item() for v in values)]
+            for i, a1 in enumerate(axis) for j, a2 in enumerate(axis)]
+    if kind == "surface":
+        surface = SurfaceGrid(values=values[1], axis1=axis, axis2=axis)
+        return write_surface_csv, surface, [["log10_conc1\\log10_conc2", *axis]] + [
+            [a1, *row] for a1, row in zip(axis, values[1].tolist())]
+    draws = np.resize(_EDGE_CELLS, (12, small_chain.draws.shape[1]))
     index, sample = np.repeat([3, 10, 11], 4), [0, 1, 2, 3] * 3
-    path = tmp_path / "samples.csv"
-    write_samples_csv(path, replace(small_chain, draws=draws, chain=index))
+    return write_samples_csv, replace(small_chain, draws=draws, chain=index), [
+        samples_header(6, 6)] + [[k, i, *row] for k, i, row in
+                                 zip(index.tolist(), sample, draws.tolist())]
+
+
+@pytest.mark.parametrize("kind", ["plate", "truth", "surface", "samples"])
+def test_written_bytes_are_csv_writers(tmp_path, small_chain, kind):
+    # every CSV leaves through one row writer that joins reprs by hand
+    write, value, rows = _table(kind, small_chain)
+    path = tmp_path / f"{kind}.csv"
+    write(path, value)
     want = StringIO(newline="")
-    writer = csv.writer(want)
-    writer.writerow(samples_header(6, 6))
-    writer.writerows([k, i, *map(repr, row)] for k, i, row in
-                     zip(index.tolist(), sample, draws.tolist()))
+    csv.writer(want).writerows(rows)
     assert path.read_bytes() == want.getvalue().encode("utf-8")
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from combofit import SplineSpec, ValidationError
-from combofit.splines import (_knot_ladder, basis_matrix, penalty_precision,
+from combofit.splines import (_knot_ladder, basis_matrix, check_layout, penalty_precision,
                               second_difference)
 
 
@@ -130,12 +132,31 @@ def test_spec_for_grid_covers_axes(small_grid):
 
 def test_spec_validates_knot_count():
     good = _knot_ladder(0.0, 1.0, 6, 3)
-    # k1 and k2 follow from the knots; degree + 1 knots give no basis function
+    # k1 and k2 follow from the knots, and each needs degree + 1 basis functions
     spec = SplineSpec(knots1=good[:-1], knots2=good)
     assert (spec.k1, spec.k2) == (5, 6)
-    assert SplineSpec(knots1=good[:5], knots2=good).k1 == 1
-    with pytest.raises(ValidationError):
-        SplineSpec(knots1=good[:4], knots2=good)
+    assert SplineSpec(knots1=good[:8], knots2=good).k1 == 4
+    for size in (7, 5, 4):
+        with pytest.raises(ValidationError, match=f"k1 must be at least 4 for degree 3, "
+                                                  f"not {size - 4}"):
+            SplineSpec(knots1=good[:size], knots2=good)
+
+
+@pytest.mark.parametrize("k1, k2, degree, ridge, message", [
+    (2, 6, 1, 1e-4, "k1 must be at least 3 for degree 1, not 2"),
+    (6, 2, 2, 1e-4, "k2 must be at least 3 for degree 2, not 2"),
+    (6, 6, 3, 0.0, "ridge must be finite and positive, not 0.0"),
+    (6, 6, 3, math.inf, "ridge must be finite and positive, not inf"),
+    (6, 6, 3, math.nan, "ridge must be finite and positive, not nan"),
+], ids=["k1_2_degree_1", "k2_2_degree_2", "ridge_0", "ridge_inf", "ridge_nan"])
+def test_layout_rule_names_the_option(k1, k2, degree, ridge, message):
+    # the second-difference penalty needs 3 coefficients whatever the degree,
+    # and a spec of such knots breaks the rule that fit checks its options by
+    with pytest.raises(ValidationError, match=message):
+        check_layout(k1, k2, degree, ridge)
+    with pytest.raises(ValidationError, match=message):
+        SplineSpec(knots1=np.arange(k1 + degree + 1.0), knots2=np.arange(k2 + degree + 1.0),
+                   degree=degree, penalty_ridge=ridge)
 
 
 @pytest.mark.parametrize("degree", [0, -1])
