@@ -79,19 +79,18 @@ def fit_2ll(logx, y) -> MonoFit:
         raise ValidationError("fit points must be finite")
     order = np.argsort(logx, kind="stable")  # curve_values needs a sorted axis
     logx, y = logx[order], y[order]
-    distinct = np.unique(logx)
-    if distinct.size < 3:
+    if np.count_nonzero(np.diff(logx)) < 2:  # steps between distinct sorted values
         raise ValidationError("need at least 3 distinct concentrations")
-    span = distinct[-1] - distinct[0]
-    if span < 1.0:
+    lowest, highest = logx[0], logx[-1]
+    if highest - lowest < 1.0:
         raise ValidationError("concentrations must span at least one decade (log10)")
 
     def rss_of(m, lam):
         r = y - curve_values(logx, m, lam)
         return float(r @ r)
 
-    m_lo, m_hi = distinct[0] - _M_MARGIN, distinct[-1] + _M_MARGIN
-    m_grid = np.linspace(distinct[0] - 2.0, distinct[-1] + 2.0, 45)
+    m_lo, m_hi = lowest - _M_MARGIN, highest + _M_MARGIN
+    m_grid = np.linspace(lowest - 2.0, highest + 2.0, 45)
     u_grid = np.linspace(-2.0, 1.0, 25)
     t = 10.0 ** u_grid[None, :, None] * (logx[None, None, :] - m_grid[:, None, None])
     f = 1.0 / (1.0 + 10.0 ** np.clip(t, -300.0, 300.0))

@@ -1,14 +1,14 @@
 """Command-line interface: simulate, fit, summarize and baseline subcommands.
 
-Exit codes: 0 success, 1 input/validation error, 2 numerical failure. Output
-files land in --outdir, the COMBOFIT_OUTDIR environment variable, or the
-working directory, in that order of precedence. Options resolve as built-in
-defaults < file values < explicit flags, where the file is fit's --config or,
-for summarize, the config block of the summary.json next to its samples CSV;
-summarize also requires its --input to be the plate that record names by digest.
-Outputs are written under temporary names and renamed into place only once all
-of them are written, so a failed run leaves the files of an earlier run
-untouched.
+Exit codes: 0 success, 1 input/validation error or an output that cannot be
+written, 2 numerical failure. Output files land in --outdir, the
+COMBOFIT_OUTDIR environment variable, or the working directory, in that order
+of precedence. Options resolve as built-in defaults < file values < explicit
+flags, where the file is fit's --config or, for summarize, the config block of
+the summary.json next to its samples CSV; summarize also requires its --input
+to be the plate that record names by digest. Outputs are written under
+temporary names and renamed into place only once all of them are written, so
+a failed run leaves the files of an earlier run untouched.
 """
 
 import argparse
@@ -132,17 +132,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _resolve_outdir(flag_value) -> Path:
-    """The output directory, created if missing; every command resolves it
-    before it reads or computes anything."""
-    path = Path(flag_value or os.environ.get(OUTDIR_ENV) or ".")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot use output directory {path}: {exc}") from None
-    return path
-
-
 def _merge_options(args, file_values: dict) -> RunConfig:
     """Built-in defaults < file values (fit's --config, or the fit record that
     summarize reads) < explicit CLI flags."""
@@ -184,15 +173,30 @@ def _plate_sha256(data) -> str:
 
 
 class _OutputSet:
-    """Context that stages output files under temporary names in the output
-    directory and renames them all into place only when its block succeeds.
+    """Context that stages a command's output files under temporary names in
+    the output directory and renames them all into place only when its block
+    succeeds.
 
-    On failure it removes only the staged files, so an earlier run's outputs
-    stay as they were.
+    Every command makes it before it reads or computes anything, with the
+    names it will write. It creates the output directory if missing, and
+    refuses a directory that cannot take a staged file (a probe file is
+    created and removed) or in which one of the names is a directory. On
+    failure it removes only the staged files, so an earlier run's outputs stay
+    as they were.
     """
 
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
+    def __init__(self, flag_value, names):
+        self.outdir = Path(flag_value or os.environ.get(OUTDIR_ENV) or ".")
+        probe = self.outdir / f".probe.{os.getpid()}.tmp"
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            probe.touch()
+            probe.unlink()
+        except OSError as exc:
+            raise ValidationError(f"cannot use output directory {self.outdir}: {exc}") from None
+        for name in names:
+            if (self.outdir / name).is_dir():
+                raise ValidationError(f"cannot write {self.outdir / name}: it is a directory")
         self.staged = []
 
     def path(self, name: str) -> Path:
@@ -293,7 +297,9 @@ def _summarize(posterior, run_cfg: RunConfig):
 
 
 def _cmd_fit(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+    out = _OutputSet(args.outdir, ["samples.csv", "surface_p.csv", "surface_p0.csv",
+                                   "surface_delta.csv", "summary.json"]
+                     + (["mse.json"] if args.truth else []))
     run_cfg = _merge_options(args, cio.read_json(args.config) if args.config else {})
     if run_cfg.adapt_start is not None and run_cfg.adapt_start >= run_cfg.iters:
         raise ValidationError(f"adapt_start {run_cfg.adapt_start} is not below iters "
@@ -311,7 +317,7 @@ def _cmd_fit(args) -> int:
               f"{warning['acceptance']:.3f} after burn-in outside [{lo}, {hi}]",
               file=sys.stderr)
 
-    with _OutputSet(outdir) as out:
+    with out:
         cio.write_samples_csv(out.path("samples.csv"), posterior)
         mean = report.posterior_mean
         for key in ("p", "p0", "delta"):
@@ -332,18 +338,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+    out = _OutputSet(args.outdir, ["plate.csv", "truth.csv"])
     scenario = SimScenario(interaction_id=args.scenario, noise=args.noise,
                            n_rep=args.nrep, sigma_eps=args.sigma_eps, seed=args.seed)
     data, truths = sample_plate(scenario)
-    with _OutputSet(outdir) as out:
+    with out:
         cio.write_plate_csv(out.path("plate.csv"), data)
         cio.write_truth_csv(out.path("truth.csv"), truths)
     return 0
 
 
 def _cmd_summarize(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+    out = _OutputSet(args.outdir, ["summary.json"])
     record_path, record, fitted_sha = _fit_record(args.samples)
     run_cfg = _merge_options(args, record)
     data, grid, spline = _setup(args, run_cfg)
@@ -361,7 +367,7 @@ def _cmd_summarize(args) -> int:
                           spline=spline, linear_scale=run_cfg.linear_scale, data=data)
     del draws  # the posterior holds a copy of its rows
     report = _summarize(posterior, run_cfg)
-    with _OutputSet(outdir) as out:
+    with out:
         payload = {"config": asdict(run_cfg), "input": str(args.input),
                    "plate_sha256": plate_sha, "samples": str(args.samples)}
         payload.update(report.to_json_dict())
@@ -370,13 +376,15 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
     # a method named twice would stage its files twice
     methods = list(dict.fromkeys(args.method or BASELINE_METHODS))
+    out = _OutputSet(args.outdir, [name.format(method) for method in methods for name in
+                                   ("baseline_{}.csv", "baseline_delta_{}.csv")]
+                     + ["baseline_summary.json"])
     data = cio.ingest_plate(args.input)
     grid = LogConcGrid.from_dataset(data)
     truth = _read_truth(args.truth, grid)
-    with _OutputSet(outdir) as out:
+    with out:
         summary = {}
         for method in methods:
             delta_hat, surface, info = baseline_delta(data, method, grid)
@@ -406,6 +414,10 @@ def main(argv=None) -> int:
     except CombofitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the reads report their own; this is a write or a rename
+        path = exc.filename2 or exc.filename or "the outputs"
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint():

@@ -187,9 +187,10 @@ def link_denominators(b_pred, slopes, out=None):
     return np.add(d, _ONE, out=d)
 
 
-def link_delta(numerators, denominators):
-    """Delta, the sum of the two quotients over the pair axis."""
-    terms = numerators / denominators
+def link_delta(numerators, denominators, out=None):
+    """Delta, the sum of the two quotients over the pair axis. out, if given
+    (it may be either operand), receives the quotients."""
+    terms = np.divide(numerators, denominators, out=out)
     return terms[0] + terms[1]
 
 
@@ -263,8 +264,8 @@ def surfaces(draws: np.ndarray, design: SurfaceDesign):
     p0 = (curve_values(design.axis1, m1, lam1)[:, :, None]
           * curve_values(design.axis2, m2, lam2)[:, None, :])
     b_pred = design.lift1 @ design.coefficients(draws) @ design.lift2.T
-    delta = link_delta(link_numerators(p0, design.mask),
-                       link_denominators(b_pred, np.stack((b1, -b2))))
+    denominators = link_denominators(b_pred, np.stack((b1, -b2)))
+    delta = link_delta(link_numerators(p0, design.mask), denominators, out=denominators)
     return p0, delta
 
 
@@ -315,14 +316,17 @@ def observation_log_densities(data: PlateDataset, p_values: np.ndarray,
     """Per-observation Gaussian log densities, shape (..., n1+1, n2+1, n_rep).
 
     p_values may carry leading axes, such as draws, with one sigma2_eps per
-    leading index.
+    leading index. The residuals are squared, scaled and subtracted in the
+    array that holds them.
     """
     sigma2 = np.asarray(sigma2_eps, dtype=float)
     if not np.all(np.isfinite(sigma2) & (sigma2 > 0.0)):
         raise ValidationError("sigma2_eps must be finite and positive")
     sigma2 = sigma2[..., None, None, None]
     resid = data.viability - np.asarray(p_values, dtype=float)[..., None]
-    return -0.5 * np.log(2.0 * math.pi * sigma2) - resid * resid / (2.0 * sigma2)
+    np.multiply(resid, resid, out=resid)
+    np.divide(resid, 2.0 * sigma2, out=resid)
+    return np.subtract(-0.5 * np.log(2.0 * math.pi * sigma2), resid, out=resid)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ _SUPPORT_SNAP = 1e-12
 
 
 def _knot_ladder(lo: float, hi: float, n_basis: int, degree: int) -> np.ndarray:
-    """Equally spaced knots covering [lo, hi], extended degree knots each side."""
-    if n_basis < degree + 1:
-        raise ValidationError(f"need at least {degree + 1} basis functions, got {n_basis}")
+    """Equally spaced knots covering [lo, hi], extended degree knots each side;
+    n_basis must exceed degree (check_layout)."""
     if not hi > lo:
         raise ValidationError("knot range must have positive width")
     n_seg = n_basis - degree
@@ -76,6 +75,7 @@ class SplineSpec:
     def for_grid(cls, grid: LogConcGrid, k1: int = 6, k2: int = 6,
                  degree: int = 3, penalty_ridge: float = 1e-4) -> "SplineSpec":
         """Lay knots over the substituted log10 range of each axis."""
+        check_layout(k1, k2, degree, penalty_ridge)
         knots1 = _knot_ladder(grid.logc1[0], grid.logc1[-1], k1, degree)
         knots2 = _knot_ladder(grid.logc2[0], grid.logc2[-1], k2, degree)
         return cls(knots1=knots1, knots2=knots2, degree=degree, penalty_ridge=penalty_ridge)

@@ -83,7 +83,8 @@ class LpmlStream:
         if self.n_samples:
             np.minimum(low, self.low, out=low)
             self.total *= np.exp(low - self.low)
-        self.total += np.exp(low - block).sum(axis=0)
+        terms = np.subtract(low, block)
+        self.total += np.exp(terms, out=terms).sum(axis=0)
         self.low = low
         self.n_samples += block.shape[0]
 
@@ -137,12 +138,27 @@ def fine_mean_surface(posterior, n_points: int = 100) -> SurfaceGrid:
 
 
 def _quantile_stats(samples: np.ndarray) -> dict:
-    return {
-        "median": float(np.median(samples)),
-        "lower95": float(np.percentile(samples, 2.5)),
-        "upper95": float(np.percentile(samples, 97.5)),
-        "mean": float(np.mean(samples)),
-    }
+    """Median, central 95% interval and mean of a 1-D series, with the bits of
+    np.median, np.percentile (linear method) and np.mean, whose own paths
+    load numpy.ma. The quantiles come from one sort; of tied signed zeros,
+    the one returned may carry the other sign."""
+    x = np.sort(samples).tolist()
+    n = len(x)
+    if math.isnan(x[-1]):  # np.sort puts NaNs last; numpy's answer is then NaN
+        return dict.fromkeys(("median", "lower95", "upper95", "mean"), math.nan)
+    half = n // 2
+    median = x[half] if n % 2 else (x[half - 1] + x[half]) / 2.0
+
+    def percentile(q):
+        v = (n - 1) * (q / 100.0)
+        i = math.floor(v)
+        # at or past the last index numpy takes both ends at -1
+        lo, hi, g = (x[i], x[i + 1], v - i) if i < n - 1 else (x[-1], x[-1], v + 1.0)
+        d = hi - lo
+        return hi - d * (1.0 - g) if g >= 0.5 else lo + d * g
+
+    return {"median": median, "lower95": percentile(2.5), "upper95": percentile(97.5),
+            "mean": float(np.mean(samples))}
 
 
 @dataclass
@@ -216,7 +232,7 @@ def summarize_chains(posterior, dss_threshold: float = 0.10,
 
     fine = fine_mean_surface(posterior, n_points=fine_points)
     lo, hi = ACCEPTANCE_RANGE
-    chains = np.unique(posterior.chain).tolist()
+    chains = list(dict.fromkeys(posterior.chain.tolist()))  # the column never decreases
     after = {i: posterior.accept_rates_after_burn_in.get(i, {}) for i in chains}
     warnings = [{"chain": i, "block": block, "acceptance": rate}
                 for i, rates in after.items() for block, rate in rates.items()
@@ -242,11 +258,17 @@ def _rvus_scores(p0, delta, grid):
     """(5, n) rVUS of p0, |Delta|, its two signed parts and 1 - p per draw.
 
     The interaction parts share the |Delta| bounding box of their own draw,
-    max over the grid of max(p0, 1 - p0).
+    max over the grid of max(p0, 1 - p0). The five surfaces are filled into
+    one stack, whose last plane first holds max(p0, 1 - p0).
     """
-    bound = np.max(np.maximum(p0, 1.0 - p0), axis=(1, 2))
-    stack = np.stack((p0, np.abs(delta), np.maximum(-delta, 0.0),
-                      np.maximum(delta, 0.0), 1.0 - (p0 + delta)))
+    stack = np.empty((5, *p0.shape))
+    stack[0] = p0
+    np.abs(delta, out=stack[1])
+    np.maximum(np.negative(delta, out=stack[2]), 0.0, out=stack[2])
+    np.maximum(delta, 0.0, out=stack[3])
+    spare = stack[4]
+    bound = np.maximum(p0, np.subtract(1.0, p0, out=spare), out=spare).max(axis=(1, 2))
+    np.subtract(1.0, np.add(p0, delta, out=spare), out=spare)
     heights = mean_heights(stack, grid.logc1, grid.logc2)
     heights[1:4] /= bound
     return heights

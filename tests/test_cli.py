@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,7 +457,91 @@ def test_unusable_outdir_fails_before_any_work(tmp_path, plate_csv, monkeypatch,
     assert calls == []
 
 
-def test_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
+def _tree(path):
+    """Every entry under path: a file's bytes, or None for a directory."""
+    return {entry.relative_to(path): None if entry.is_dir() else entry.read_bytes()
+            for entry in path.rglob("*")}
+
+
+@pytest.mark.parametrize("name", ["samples.csv", "summary.json"])
+@pytest.mark.parametrize("command", ["fit", "summarize"])
+def test_a_directory_named_as_an_output_fails_before_any_work(tmp_path, plate_csv, monkeypatch,
+                                                              capsys, command, name):
+    # fit writes both names into its outdir; summarize writes summary.json
+    # there and reads the draws of samples.csv next to it
+    import combofit.cli as cli
+
+    outdir = tmp_path / "out"
+    assert _fit(plate_csv, outdir) == 0
+    (outdir / name).unlink()
+    (outdir / name).mkdir()
+    before = _tree(outdir)
+    calls = []
+    for stub in ("run_chains", "summarize_chains"):
+        monkeypatch.setattr(cli, stub, lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    if command == "fit":
+        code = _fit(plate_csv, outdir)
+    else:
+        code = main(["summarize", "--input", str(plate_csv),
+                     "--samples", str(outdir / "samples.csv"), "--outdir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    if command == "summarize" and name == "samples.csv":
+        assert err.startswith(f"error: cannot read {outdir / name}: ")
+    else:
+        assert err == f"error: cannot write {outdir / name}: it is a directory\n"
+    assert err.count("\n") == 1
+    assert calls == []
+    assert _tree(outdir) == before
+
+
+def test_an_outdir_that_cannot_take_a_file_fails_before_any_work(tmp_path, plate_csv,
+                                                                 monkeypatch, capsys):
+    # root ignores permission bits, so the failing probe file is simulated
+    import combofit.cli as cli
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    calls = []
+    monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.cio, "ingest_plate", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(Path, "touch", refuse)
+    assert _fit(plate_csv, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot use output directory {tmp_path / 'out'}: [Errno 13] Permission denied")
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "summarize", "baseline"])
+def test_no_command_loads_numpy_ma(tmp_path, command):
+    # numpy.ma costs 10-16 ms and about 1 MiB when first loaded; np.median,
+    # np.percentile and np.unique of a plain array each load it
+    import combofit
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "3", "--nrep", "1", "--seed", "2",
+                 "--outdir", str(sim)]) == 0
+    plate, truth = str(sim / "plate.csv"), str(sim / "truth.csv")
+    fit = ["--iters", "60", "--burn-in", "30", "--fine-points", "10"]
+    if command == "summarize":
+        assert main(["fit", "--input", plate, "--outdir", str(tmp_path / "fit"), *fit]) == 0
+    argv = {"simulate": ["simulate", "--scenario", "2", "--noise", "t5"],
+            "fit": ["fit", "--input", plate, "--truth", truth, *fit],
+            "summarize": ["summarize", "--input", plate,
+                          "--samples", str(tmp_path / "fit" / "samples.csv")],
+            "baseline": ["baseline", "--input", plate, "--truth", truth]}[command]
+    script = ("import sys; from combofit.cli import main; "
+              "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+    src = str(Path(combofit.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script, *argv,
+                             "--outdir", str(tmp_path / "out")],
+                            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+def test_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch, capsys):
     import combofit.cli as cli
 
     sim = tmp_path / "sim"
@@ -467,8 +555,9 @@ def test_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.cio, "write_json", failing_write_json)
-    with pytest.raises(OSError):
-        _fit(sim / "plate.csv", outdir, "--truth", str(sim / "truth.csv"), "--seed", "8")
+    capsys.readouterr()
+    assert _fit(sim / "plate.csv", outdir, "--truth", str(sim / "truth.csv"), "--seed", "8") == 1
+    assert capsys.readouterr().err == "error: cannot write the outputs: disk full\n"
     after = {path.name: path.read_bytes() for path in outdir.iterdir()}
     assert after == before
 

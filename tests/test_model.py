@@ -298,6 +298,61 @@ def test_batched_log_densities_and_fine_sum_match_per_draw(posterior):
                                (p0_fine + g_fine).sum(axis=0), rtol=0.0, atol=1e-12)
 
 
+def _allocating_surfaces(draws, design):
+    """surfaces as it stood before its quotients went into the denominators'
+    buffer, the oracle of the in-place kernel."""
+    m1, lam1, m2, lam2 = (draws[:, COLUMN[name]].reshape(-1, 1)
+                          for name in ("m1", "lambda1", "m2", "lambda2"))
+    b1, b2 = (draws[:, COLUMN[name]].reshape(-1, 1, 1) for name in ("b1", "b2"))
+    p0 = (curve_values(design.axis1, m1, lam1)[:, :, None]
+          * curve_values(design.axis2, m2, lam2)[:, None, :])
+    b_pred = design.lift1 @ design.coefficients(draws) @ design.lift2.T
+    terms = (link_numerators(p0, design.mask)
+             / link_denominators(b_pred, np.stack((b1, -b2))))
+    return p0, terms[0] + terms[1]
+
+
+def _allocating_log_densities(data, p_values, sigma2_eps):
+    """observation_log_densities as it stood before it worked in its residuals'
+    array, the oracle of the in-place kernel."""
+    sigma2 = np.asarray(sigma2_eps, dtype=float)[..., None, None, None]
+    resid = data.viability - np.asarray(p_values, dtype=float)[..., None]
+    return -0.5 * np.log(2.0 * math.pi * sigma2) - resid * resid / (2.0 * sigma2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_posterior(), st.sampled_from(("b1", "b2")), st.sampled_from((1.0, 300.0, 1e4)))
+def test_in_place_kernels_equal_their_allocating_oracles(posterior, slope, scale_by):
+    # the same bytes, also where b B passes EXP_CLAMP
+    draws, spline, scale = posterior
+    draws[:, COLUMN[slope]] *= scale_by
+    on_grid = SurfaceDesign.on_grid(GRID, spline, scale)
+    unmasked = SurfaceDesign.on_axes(np.linspace(-4.0, 5.0, 17), np.linspace(-3.5, 5.5, 13),
+                                     spline, scale)
+    for design in (on_grid, unmasked):
+        got, want = surfaces(draws, design), _allocating_surfaces(draws, design)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    data, _ = sample_plate(SimScenario(3, seed=4))
+    p0, delta = surfaces(draws, on_grid)
+    p, sigma2 = p0 + delta, draws[:, COLUMN["sigma2_eps"]]
+    assert (observation_log_densities(data, p, sigma2).tobytes()
+            == _allocating_log_densities(data, p, sigma2).tobytes())
+
+
+def test_link_delta_out_receives_the_quotients_and_spares_its_operands():
+    rng = np.random.default_rng(3)
+    numerators = link_numerators(rng.uniform(size=(4, 3, 2)))
+    denominators = link_denominators(rng.normal(size=(4, 3, 2)), np.array((1.5, -0.5)).reshape(
+        2, 1, 1, 1))
+    kept = numerators.copy(), denominators.copy()
+    want = link_delta(numerators, denominators)
+    assert [a.tobytes() for a in (numerators, denominators)] == [a.tobytes() for a in kept]
+    got = link_delta(numerators, denominators, out=denominators)
+    assert got.tobytes() == want.tobytes()
+    assert numerators.tobytes() == kept[0].tobytes()
+    assert denominators.tobytes() == (kept[0] / kept[1]).tobytes()
+
+
 def _two_logistic_mean_surface(draws, design):
     """The fine-grid kernel as it stood before the pair layout, the oracle of
     summed_mean_surface: one logistic per slope, each clamped, and p0 as the

@@ -148,12 +148,19 @@ def test_spec_validates_knot_count():
     (6, 6, 3, 0.0, "ridge must be finite and positive, not 0.0"),
     (6, 6, 3, math.inf, "ridge must be finite and positive, not inf"),
     (6, 6, 3, math.nan, "ridge must be finite and positive, not nan"),
-], ids=["k1_2_degree_1", "k2_2_degree_2", "ridge_0", "ridge_inf", "ridge_nan"])
-def test_layout_rule_names_the_option(k1, k2, degree, ridge, message):
+    (3, 6, 3, 1e-4, "k1 must be at least 4 for degree 3, not 3"),
+    (6, 3, 3, 1e-4, "k2 must be at least 4 for degree 3, not 3"),
+    (0, 6, 3, 1e-4, "k1 must be at least 4 for degree 3, not 0"),
+], ids=["k1_2_degree_1", "k2_2_degree_2", "ridge_0", "ridge_inf", "ridge_nan",
+        "k1_3", "k2_3", "k1_0"])
+def test_layout_rule_names_the_option(small_grid, k1, k2, degree, ridge, message):
     # the second-difference penalty needs 3 coefficients whatever the degree,
-    # and a spec of such knots breaks the rule that fit checks its options by
+    # and a spec of such knots breaks the rule that fit checks its options by;
+    # for_grid checks it before it lays the knots, so every case names the option
     with pytest.raises(ValidationError, match=message):
         check_layout(k1, k2, degree, ridge)
+    with pytest.raises(ValidationError, match=message):
+        SplineSpec.for_grid(small_grid, k1=k1, k2=k2, degree=degree, penalty_ridge=ridge)
     with pytest.raises(ValidationError, match=message):
         SplineSpec(knots1=np.arange(k1 + degree + 1.0), knots2=np.arange(k2 + degree + 1.0),
                    degree=degree, penalty_ridge=ridge)
@@ -175,7 +182,3 @@ def test_spec_validates_spacing():
     with pytest.raises(ValidationError):
         SplineSpec(knots1=knots, knots2=_knot_ladder(0.0, 1.0, 6, 3))
 
-
-def test_knot_ladder_needs_enough_bases():
-    with pytest.raises(ValidationError):
-        _knot_ladder(0.0, 1.0, 3, 3)

@@ -13,6 +13,7 @@ from combofit import (ChainConfig, LpmlStream, SimScenario, SurfaceGrid, Validat
                       bi_ec50, combination_columns, curve_values, dss_scores,
                       fine_mean_surface, mean_heights, mse_surface, reference_grid,
                       run_chain, sample_plate, summarize_chains)
+from combofit.summaries import _quantile_stats, _rvus_scores
 
 
 def _stacked_blocks(chain):
@@ -158,6 +159,78 @@ def test_batched_rvus_matches_scalar_rvus(n1, n2, n_surfaces, seed):
                                            rel=1e-14, abs=1e-15)
 
 
+def _stacked_rvus_scores(p0, delta, grid):
+    """_rvus_scores as it stood before it filled one stack in place, its oracle."""
+    bound = np.max(np.maximum(p0, 1.0 - p0), axis=(1, 2))
+    stack = np.stack((p0, np.abs(delta), np.maximum(-delta, 0.0),
+                      np.maximum(delta, 0.0), 1.0 - (p0 + delta)))
+    heights = mean_heights(stack, grid.logc1, grid.logc2)
+    heights[1:4] /= bound
+    return heights
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_rvus_scores_equal_the_stacked_oracle(n, seed):
+    # random surfaces with Delta in (-p0, 1 - p0), signed zeros on the
+    # borders as the masked link leaves them, and the draws of a chain
+    grid = reference_grid()
+    rng = np.random.default_rng(seed)
+    p0 = rng.uniform(size=(n, *grid.shape))
+    delta = rng.uniform(-p0, 1.0 - p0)
+    delta[:, 0, :], delta[:, :, 0] = -0.0, 0.0
+    got = _rvus_scores(p0, delta, grid)
+    assert got.tobytes() == _stacked_rvus_scores(p0, delta, grid).tobytes()
+
+
+def test_rvus_scores_of_a_chain_equal_the_stacked_oracle(small_chain):
+    for _, p0, delta, _ in small_chain.blocks():
+        assert (_rvus_scores(p0, delta, small_chain.grid).tobytes()
+                == _stacked_rvus_scores(p0, delta, small_chain.grid).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# Quantiles
+
+_MAGNITUDE = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _series(draw):
+    """1 to 2,000 values: a normal sample scaled by up to six decades per value,
+    or draws from a few atoms (ties), signed zeros among them, of magnitudes
+    from 1e-300 to 1e300. Far-apart neighbours make each interpolation's
+    difference inexact, so the order of its operations shows in the bits. At
+    21, 61, 101, ... values the 2.5 and 97.5 percentiles lie halfway between
+    two order statistics, where numpy switches its interpolation formula."""
+    n = draw(st.one_of(st.integers(1, 2000), st.integers(0, 49).map(lambda k: 40 * k + 21)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 0.0, n) * draw(_MAGNITUDE)
+    atoms = draw(st.lists(st.one_of(st.sampled_from((0.0, -0.0)), _MAGNITUDE,
+                                    _MAGNITUDE.map(lambda x: -x)), min_size=1, max_size=6))
+    return rng.choice(np.array(atoms), size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series())
+def test_quantile_stats_have_numpys_bits(values):
+    # a zero may differ in sign: of tied signed zeros numpy returns the one
+    # its selection algorithm happens to put in place
+    want = {"median": np.median(values), "lower95": np.percentile(values, 2.5),
+            "upper95": np.percentile(values, 97.5), "mean": np.mean(values)}
+    got = _quantile_stats(values)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        value = float(value)
+        assert got[key].hex() == value.hex() if value else got[key] == 0.0, key
+
+
+def test_quantile_stats_of_a_series_with_nan_are_nan():
+    got = _quantile_stats(np.array([1.0, np.nan, 0.5]))
+    assert all(math.isnan(value) for value in got.values())
+
+
 # ---------------------------------------------------------------------------
 # Bi-dimensional EC50
 
@@ -222,16 +295,24 @@ def test_lpml_validation():
         _lpml(np.array([[-1.0, np.inf]]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 8),
-       st.integers(1, 4), st.floats(0.1, 40.0), st.integers(0, 2**32 - 1))
-def test_streamed_lpml_matches_the_stacked_matrix(sizes, n_columns, at, drop, seed):
+def _lpml_blocks(sizes, n_columns, at, drop, seed):
     rng = np.random.default_rng(seed)
     blocks = [rng.normal(-1.0, 2.0, (n, n_columns)) for n in sizes]
     # a later block below every column's minimum so far: the running sums
     # are rescaled
     low = np.min(np.concatenate(blocks[:at]), axis=0) - rng.uniform(0.1, drop, (2, n_columns))
     blocks.insert(min(at, len(blocks)), low)
+    return blocks
+
+
+_LPML_BLOCKS = st.builds(_lpml_blocks, st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                         st.integers(1, 8), st.integers(1, 4), st.floats(0.1, 40.0),
+                         st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LPML_BLOCKS)
+def test_streamed_lpml_matches_the_stacked_matrix(blocks):
     stream = LpmlStream()
     for block in blocks:
         stream.add(block)
@@ -240,6 +321,31 @@ def test_streamed_lpml_matches_the_stacked_matrix(sizes, n_columns, at, drop, se
     assert stream.value() == pytest.approx(_lpml(stacked), rel=1e-12)
     oracle = np.sum(math.log(stacked.shape[0]) - special.logsumexp(-stacked, axis=0))
     assert stream.value() == pytest.approx(oracle, rel=1e-12)
+
+
+class _AllocatingLpmlStream(LpmlStream):
+    """LpmlStream.add as it stood before it exponentiated in place, its oracle."""
+
+    def add(self, block):
+        low = block.min(axis=0)
+        if self.n_samples:
+            np.minimum(low, self.low, out=low)
+            self.total *= np.exp(low - self.low)
+        self.total += np.exp(low - block).sum(axis=0)
+        self.low = low
+        self.n_samples += block.shape[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LPML_BLOCKS)
+def test_streamed_lpml_has_the_allocating_streams_bytes(blocks):
+    stream, oracle = LpmlStream(), _AllocatingLpmlStream()
+    for block in blocks:
+        stream.add(block)
+        oracle.add(block)
+        assert stream.total.tobytes() == oracle.total.tobytes()
+        assert stream.low.tobytes() == oracle.low.tobytes()
+    assert stream.value() == oracle.value()
 
 
 def test_combination_columns_reference_grid():
